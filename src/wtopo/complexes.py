@@ -9,7 +9,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .graph import ValidationError
 
 VR = "vr"
@@ -118,6 +117,25 @@ def relaxation_terms(witness_dists: np.ndarray, nu: int) -> np.ndarray:
     return m
 
 
+def _witness_edge_scales(witness_dists: np.ndarray, m_nu: np.ndarray) -> np.ndarray:
+    # entry (i, j) = min over witnesses w of max(0, max(d(w,i), d(w,j)) - m_nu[w]);
+    # witnesses with m_nu = inf never witness, unwitnessed pairs and the diagonal are inf
+    n_land = witness_dists.shape[1]
+    out = np.full((n_land, n_land), np.inf)
+    active = m_nu != np.inf
+    wd = witness_dists[active]
+    mn = m_nu[active]
+    if wd.shape[0] == 0:
+        return out
+    for i in range(n_land):
+        pairwise = np.maximum(wd[:, i : i + 1], wd)  # (W, L)
+        vals = np.where(pairwise == np.inf, np.inf,
+                        np.maximum(pairwise - mn[:, None], 0.0))
+        out[i, :] = vals.min(axis=0)
+    np.fill_diagonal(out, np.inf)
+    return out
+
+
 def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,
                        max_dim: int, max_scale: float, nu: int = 0) -> Filtration:
     """Lazy-witness filtration over the landmark set.
@@ -140,7 +158,7 @@ def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,
     if max_dim == 0:
         edge_scales = np.full_like(land, np.inf)
     else:
-        edge_scales = _kernels.witness_edge_scales(wd, relaxation_terms(wd, nu))
+        edge_scales = _witness_edge_scales(wd, relaxation_terms(wd, nu))
     return _assemble(land.shape[0], edge_scales, max_dim, max_scale, WITNESS, nu)
 
 

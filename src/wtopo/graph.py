@@ -13,8 +13,7 @@ from functools import cached_property
 from typing import IO, Iterable, Sequence
 
 import numpy as np
-
-from . import _kernels
+from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = np.inf
 
@@ -93,21 +92,26 @@ class Graph:
         return deg
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _csr(self) -> csr_matrix:
         # symmetric CSR: every edge appears in both directions
         n = self.num_nodes
-        if self.num_edges == 0:
-            return (np.zeros(n + 1, np.int64), np.empty(0, np.int64),
-                    np.empty(0, np.float64))
         heads = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
         tails = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
         wts = np.concatenate([self.weights, self.weights])
         order = np.lexsort((tails, heads))
-        heads, tails, wts = heads[order], tails[order], wts[order]
         indptr = np.zeros(n + 1, np.int64)
         np.add.at(indptr, heads + 1, 1)
         np.cumsum(indptr, out=indptr)
-        return indptr, tails, wts
+        return csr_matrix((wts[order], tails[order], indptr), shape=(n, n))
+
+    @cached_property
+    def _component_labels(self) -> np.ndarray:
+        # component k is the one holding the k-th smallest "smallest node id"
+        _, labels = csgraph.connected_components(self._csr, directed=False)
+        _, first = np.unique(labels, return_index=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        return rank[labels]
 
     def edge_weight_map(self) -> dict[tuple[int, int], float]:
         return {(int(u), int(v)): float(w)
@@ -228,17 +232,14 @@ def geodesics(g: Graph, sources: Sequence[int], method: str = "auto") -> Distanc
         raise ValueError("sources must be non-empty")
     if src.min() < 0 or src.max() >= g.num_nodes:
         raise ValueError("source ids outside [0, N)")
-    indptr, indices, wts = g._csr
     if method == "auto":
         method = "bfs" if g.unit_weights else "dijkstra"
-    if method == "bfs":
-        if not g.unit_weights:
-            raise ValueError("bfs requires unit weights")
-        dists = _kernels.bfs_rows(indptr, indices, src, g.num_nodes)
-    elif method == "dijkstra":
-        dists = _kernels.dijkstra_rows(indptr, indices, wts, src, g.num_nodes)
-    else:
+    if method == "bfs" and not g.unit_weights:
+        raise ValueError("bfs requires unit weights")
+    if method not in ("bfs", "dijkstra"):
         raise ValueError(f"unknown method {method!r}")
+    dists = csgraph.dijkstra(g._csr, directed=True, indices=src,
+                             unweighted=method == "bfs")
     return DistanceMatrix(tuple(int(s) for s in src), dists)
 
 
@@ -252,25 +253,11 @@ def diameter(g: Graph) -> float:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Components as node lists, ordered by smallest contained node id."""
-    indptr, indices, _ = g._csr
-    seen = np.zeros(g.num_nodes, dtype=bool)
-    comps: list[list[int]] = []
-    for start in range(g.num_nodes):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in indices[indptr[u]:indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        comps.append(sorted(comp))
-    return comps
+    """Components as sorted node lists, ordered by smallest contained node id."""
+    labels = g._component_labels
+    order = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    return [comp.tolist() for comp in np.split(order, bounds)]
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
@@ -280,16 +267,15 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     original index. Returns (subgraph, old_to_new) where old_to_new[i] is the
     new index of node i or -1 if i was dropped.
     """
-    comps = connected_components(g)
-    best = max(comps, key=len)           # first max: smallest contained index
+    labels = g._component_labels
+    best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
     old_to_new = np.full(g.num_nodes, -1, dtype=np.int64)
-    for new, old in enumerate(best):
-        old_to_new[old] = new
+    old_to_new[best] = np.arange(best.size)
+    # old_to_new increases on the kept nodes, so relabeled edges stay sorted, u < v
     keep = old_to_new[g.edge_array[:, 0]] >= 0
-    edges = [(int(old_to_new[u]), int(old_to_new[v]), float(w))
-             for (u, v), w in zip(g.edge_array[keep], g.weights[keep])]
     feats = g.node_features[best] if g.node_features is not None else None
-    return Graph.from_edges(len(best), edges, node_features=feats), old_to_new
+    sub = Graph(int(best.size), old_to_new[g.edge_array[keep]], g.weights[keep], feats)
+    return sub, old_to_new
 
 
 def adjacency_l1_distance(g1: Graph, g2: Graph, weighted: bool = False) -> float:

@@ -100,30 +100,51 @@ def _filtration_arrays(f: Filtration):
     return verts, edges, higher
 
 
-def _union_find_h0(f: Filtration) -> PersistenceDiagram:
-    from . import _kernels
+def _h0_merge(vert_scales: list[float], vert_rank: list[int], edge_u: list[int],
+              edge_v: list[int], edge_scales: list[float]):
+    """Kruskal-style merge events over edges given in filtration order.
 
+    Elder rule: the component with smaller (birth scale, vertex rank) survives.
+    The younger root is re-parented onto the elder, so every root is its
+    component's oldest vertex. Returns (births, deaths, roots) with one
+    birth/death per merge and the surviving roots.
+    """
+    parent = list(range(len(vert_scales)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    births, deaths = [], []
+    for u, v, scale in zip(edge_u, edge_v, edge_scales):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        if (vert_scales[ru], vert_rank[ru]) < (vert_scales[rv], vert_rank[rv]):
+            elder, younger = ru, rv
+        else:
+            elder, younger = rv, ru
+        births.append(vert_scales[younger])
+        deaths.append(scale)
+        parent[younger] = elder
+    roots = [v for v in range(len(parent)) if parent[v] == v]
+    return births, deaths, roots
+
+
+def _union_find_h0(f: Filtration) -> PersistenceDiagram:
     verts, edges, _ = _filtration_arrays(f)
     if not verts:
         return PersistenceDiagram()
     vid_to_pos = {vid: pos for pos, (vid, _, _) in enumerate(verts)}
-    vert_scales = np.array([s for _, s, _ in verts], dtype=np.float64)
-    vert_rank = np.array([idx for _, _, idx in verts], dtype=np.int64)
-    edge_u = np.array([vid_to_pos[e[0][0]] for e in edges], dtype=np.int64)
-    edge_v = np.array([vid_to_pos[e[0][1]] for e in edges], dtype=np.int64)
-    edge_scales = np.array([e[1] for e in edges], dtype=np.float64)
-    births, deaths, parent = _kernels.h0_merge_pairs(
-        vert_scales, vert_rank, edge_u, edge_v, edge_scales)
-
-    roots = set()
-    for v in range(len(verts)):
-        r = v
-        while parent[r] != r:
-            r = parent[r]
-        roots.add(int(r))
-    # the kernel re-parents younger onto elder, so each root keeps its own birth
+    vert_scales = [s for _, s, _ in verts]
+    births, deaths, roots = _h0_merge(
+        vert_scales, [idx for _, _, idx in verts],
+        [vid_to_pos[e[0][0]] for e in edges], [vid_to_pos[e[0][1]] for e in edges],
+        [e[1] for e in edges])
     essential = np.array(sorted(vert_scales[r] for r in roots), dtype=np.float64)
-    pts = np.column_stack([births, deaths]) if births.size else _EMPTY_POINTS
+    pts = np.column_stack([births, deaths]) if births else _EMPTY_POINTS
     return PersistenceDiagram._build({0: pts}, {0: essential})
 
 
@@ -214,44 +235,33 @@ def _essential_costs(e1: np.ndarray, e2: np.ndarray) -> np.ndarray | None:
     return np.abs(np.sort(e1) - np.sort(e2))
 
 
+def _saturates_rows(adj: np.ndarray) -> bool:
+    """True iff some matching of the boolean biadjacency ``adj`` covers every row."""
+    if adj.shape[0] > adj.shape[1]:
+        return False
+    cost = (~adj).astype(np.float64)        # 0 on an edge, 1 off it
+    rows, cols = linear_sum_assignment(cost)
+    return not cost[rows, cols].any()
+
+
 def _matching_feasible(cross: np.ndarray, diag1: np.ndarray, diag2: np.ndarray,
                        t: float) -> bool:
     """Perfect matching test for bottleneck threshold t.
 
     Standard construction: left side = diagram-1 points plus diagonal copies of
     diagram-2 points, right side = diagram-2 points plus diagonal copies of
-    diagram-1 points. A point may pair with its own diagonal copy when its
-    diagonal cost is <= t; copy-copy pairs are free. Feasible iff a perfect
-    matching exists (Kuhn's augmenting paths).
+    diagram-1 points; a point may pair with its own diagonal copy when its
+    diagonal cost is <= t, and copy-copy pairs are free. That graph has a
+    perfect matching iff the point-to-point edges (cost <= t) hold a matching
+    covering every point whose diagonal cost exceeds t: leftover points go to
+    their own copies and the leftover copies pair up freely. By the
+    Mendelsohn-Dulmage theorem such a matching exists iff one covers those
+    diagram-1 points and one covers those diagram-2 points, so two
+    assignments on the point-to-point graph decide it.
     """
-    n, m = cross.shape
-
-    def neighbors(i: int):
-        if i < n:
-            for j in range(m):
-                if cross[i, j] <= t:
-                    yield j
-            if diag1[i] <= t:
-                yield m + i
-        else:
-            k = i - n
-            if diag2[k] <= t:
-                yield k
-            yield from range(m, m + n)
-
-    owner = [-1] * (n + m)     # right index -> left index
-
-    def augment(i: int, seen: set[int]) -> bool:
-        for j in neighbors(i):
-            if j in seen:
-                continue
-            seen.add(j)
-            if owner[j] == -1 or augment(owner[j], seen):
-                owner[j] = i
-                return True
-        return False
-
-    return all(augment(i, set()) for i in range(n + m))
+    close = cross <= t
+    return (_saturates_rows(close[diag1 > t])
+            and _saturates_rows(close[:, diag2 > t].T))
 
 
 def _bottleneck_finite(p1: np.ndarray, p2: np.ndarray) -> float:

@@ -68,6 +68,28 @@ def _decode_pairs(idx: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([u, v])
 
 
+def _targeted_offsets(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    # candidates: pairs (u, v), u < v, with u or v in marks, row-major; row u
+    # holds n-1-u pairs when u is a landmark, else one per landmark above u
+    us = np.arange(n, dtype=np.int64)
+    is_mark = np.isin(us, marks)
+    counts = np.where(is_mark, n - 1 - us,
+                      marks.size - np.searchsorted(marks, us, side="right"))
+    ends = np.cumsum(counts)
+    return ends - counts, int(ends[-1])
+
+
+def _decode_targeted_pairs(idx: np.ndarray, starts: np.ndarray,
+                           marks: np.ndarray) -> np.ndarray:
+    # inverse of the row-major candidate enumeration in _targeted_offsets
+    u = np.searchsorted(starts, idx, side="right") - 1
+    k = idx - starts[u]
+    is_mark = np.isin(u, marks)
+    above = np.searchsorted(marks, u, side="right") + k
+    v = np.where(is_mark, u + 1 + k, marks[np.minimum(above, marks.size - 1)])
+    return np.column_stack([u, v])
+
+
 def perturb(g: Graph, spec: PerturbSpec,
             landmarks: Sequence[int] | None = None) -> Graph:
     """Flip ``spec.budget`` distinct undirected pairs (add if absent, remove if
@@ -86,15 +108,12 @@ def perturb(g: Graph, spec: PerturbSpec,
     else:
         if landmarks is None:
             raise ValueError("landmark-targeted mode needs the landmark set")
-        lset = sorted(set(int(l) for l in landmarks))
-        cand = [(min(l, v), max(l, v))
-                for i, l in enumerate(lset)
-                for v in range(n) if v != l and not (v in lset and v < l)]
-        cand = sorted(set(cand))
-        if spec.budget > len(cand):
-            raise ValueError(f"budget {spec.budget} exceeds {len(cand)} candidate pairs")
-        pick = rng.choice(len(cand), size=spec.budget, replace=False)
-        chosen = np.array([cand[i] for i in np.sort(pick)], dtype=np.int64).reshape(-1, 2)
+        marks = np.unique(np.asarray(landmarks, dtype=np.int64))
+        starts, total = _targeted_offsets(marks, n)
+        if spec.budget > total:
+            raise ValueError(f"budget {spec.budget} exceeds {total} candidate pairs")
+        pick = rng.choice(total, size=spec.budget, replace=False)
+        chosen = _decode_targeted_pairs(np.sort(pick), starts, marks)
 
     pairs = g.edge_weight_map()
     for u, v in chosen:

@@ -149,6 +149,26 @@ def test_lcc_slices_node_features():
     assert np.array_equal(sub.node_features, feats[[1, 2, 3]])
 
 
+def test_lcc_matches_from_edges_construction():
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        feats = rng.normal(size=(n, 3))
+        g = random_graph(rng, n, p=0.06, weighted=True)
+        g = Graph(g.num_nodes, g.edge_array, g.weights, feats)
+        sub, old_to_new = largest_connected_component(g)
+        best = [v for v in range(n) if old_to_new[v] >= 0]
+        want = Graph.from_edges(
+            len(best), [(old_to_new[u], old_to_new[v], w)
+                        for (u, v), w in zip(g.edge_array, g.weights)
+                        if old_to_new[u] >= 0], node_features=feats[best])
+        assert sub.num_nodes == want.num_nodes
+        assert sub.edge_array.dtype == want.edge_array.dtype
+        assert np.array_equal(sub.edge_array, want.edge_array)
+        assert np.array_equal(sub.weights, want.weights)
+        assert np.array_equal(sub.node_features, want.node_features)
+
+
 def test_adjacency_l1_identity_and_single_flip():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert adjacency_l1_distance(g, g) == 0.0

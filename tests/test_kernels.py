@@ -1,51 +1,59 @@
-"""Parity between the numba-jitted kernels and their numpy fallbacks."""
+"""Numeric kernels (shortest paths, components, witness edge scales, H0 merges)
+checked against independent oracles: networkx and plain-python loops."""
 
+import networkx as nx
 import numpy as np
 
-from conftest import random_connected_graph, random_graph
-from wtopo import _kernels
-from wtopo._kernels import (_bfs_rows_loops, _bfs_rows_numpy,
-                            _dijkstra_rows_loops, _dijkstra_rows_numpy,
-                            _h0_merge_loops, _witness_edge_scales_loops,
-                            _witness_edge_scales_numpy)
-from wtopo.complexes import relaxation_terms
-from wtopo.graph import geodesics
+from conftest import oracle_witness_edge_scales, random_connected_graph, random_graph
+from wtopo.complexes import _witness_edge_scales, relaxation_terms
+from wtopo.graph import connected_components, geodesics
+from wtopo.persistence import _h0_merge
 
 
-def csr_of(g):
-    return g._csr
+def to_networkx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.num_nodes))
+    G.add_weighted_edges_from((int(u), int(v), float(w))
+                              for (u, v), w in zip(g.edge_array, g.weights))
+    return G
 
 
-def test_backend_flag_is_exposed():
-    assert isinstance(_kernels.USING_NUMBA, bool)
+def oracle_rows(g, weighted):
+    G = to_networkx(g)
+    out = np.full((g.num_nodes, g.num_nodes), np.inf)
+    for s in range(g.num_nodes):
+        lengths = (nx.single_source_dijkstra_path_length(G, s) if weighted
+                   else nx.shortest_path_length(G, s))
+        for t, d in lengths.items():
+            out[s, t] = d
+    return out
 
 
-def test_bfs_paths_agree():
+def test_unit_geodesics_match_networkx():
     rng = np.random.default_rng(91)
     for _ in range(15):
-        n = int(rng.integers(2, 40))
-        g = random_graph(rng, n, p=0.2)
-        indptr, indices, _ = csr_of(g)
-        sources = np.arange(n, dtype=np.int64)
-        a = np.full((n, n), np.inf)
-        _bfs_rows_loops(indptr, indices, sources, a)
-        b = np.full((n, n), np.inf)
-        _bfs_rows_numpy(indptr, indices, sources, b)
-        assert np.array_equal(a, b)
+        n = int(rng.integers(1, 40))
+        g = random_graph(rng, n, p=0.15)
+        assert np.array_equal(geodesics(g, range(n)).dists, oracle_rows(g, False))
 
 
-def test_dijkstra_paths_agree():
+def test_weighted_geodesics_match_networkx():
     rng = np.random.default_rng(92)
     for _ in range(15):
-        n = int(rng.integers(2, 30))
-        g = random_graph(rng, n, p=0.25, weighted=True)
-        indptr, indices, wts = csr_of(g)
-        sources = np.arange(n, dtype=np.int64)
-        a = np.full((n, n), np.inf)
-        _dijkstra_rows_loops(indptr, indices, wts, sources, a)
-        b = np.full((n, n), np.inf)
-        _dijkstra_rows_numpy(indptr, indices, wts, sources, b)
-        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+        n = int(rng.integers(1, 30))
+        g = random_graph(rng, n, p=0.2, weighted=True)
+        got = geodesics(g, range(n)).dists
+        want = oracle_rows(g, True)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_geodesics_subset_of_sources_in_given_order():
+    rng = np.random.default_rng(96)
+    g = random_graph(rng, 30, p=0.1, weighted=True)
+    sources = [7, 3, 29, 3]
+    assert np.array_equal(geodesics(g, sources).dists,
+                          geodesics(g, range(30)).dists[sources])
 
 
 def test_dijkstra_agrees_with_bfs_on_unit_weights():
@@ -56,7 +64,17 @@ def test_dijkstra_agrees_with_bfs_on_unit_weights():
     assert np.array_equal(bfs, dij)
 
 
-def test_witness_scale_paths_agree():
+def test_connected_components_match_networkx():
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        n = int(rng.integers(1, 50))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 0.1)))
+        want = sorted((sorted(c) for c in nx.connected_components(to_networkx(g))),
+                      key=lambda c: c[0])
+        assert connected_components(g) == want
+
+
+def test_witness_edge_scales_match_oracle():
     rng = np.random.default_rng(94)
     for _ in range(15):
         n_wit = int(rng.integers(1, 30))
@@ -64,41 +82,45 @@ def test_witness_scale_paths_agree():
         wd = rng.uniform(0.0, 5.0, size=(n_wit, n_land))
         wd[rng.random(size=wd.shape) < 0.15] = np.inf
         for nu in (0, 1, min(2, n_land)):
-            m_nu = relaxation_terms(wd, nu)
-            a = np.full((n_land, n_land), np.inf)
-            _witness_edge_scales_loops(wd, m_nu, a)
-            np.fill_diagonal(a, np.inf)
-            b = np.full((n_land, n_land), np.inf)
-            _witness_edge_scales_numpy(wd, m_nu, b)
-            assert np.array_equal(a, b)
+            got = _witness_edge_scales(wd, relaxation_terms(wd, nu))
+            want = oracle_witness_edge_scales(wd, nu)
+            np.fill_diagonal(want, np.inf)
+            assert np.array_equal(got, want)
 
 
-def test_h0_merge_dispatcher_matches_plain_python():
+def oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales):
+    """Elder-rule merges tracked on explicit member sets; a component's age is
+    the smallest (scale, rank) among its members."""
+    comp = {v: frozenset([v]) for v in range(len(vert_scales))}
+
+    def age(members):
+        return min((vert_scales[v], vert_rank[v]) for v in members)
+
+    births, deaths = [], []
+    for u, v, scale in zip(edge_u, edge_v, edge_scales):
+        a, b = comp[u], comp[v]
+        if a == b:
+            continue
+        births.append(max(age(a), age(b))[0])
+        deaths.append(scale)
+        for w in a | b:
+            comp[w] = a | b
+    oldest = {min(m, key=lambda v: (vert_scales[v], vert_rank[v]))
+              for m in comp.values()}
+    return births, deaths, sorted(oldest)
+
+
+def test_h0_merge_matches_union_find_oracle():
     rng = np.random.default_rng(95)
-    for _ in range(10):
-        nv = int(rng.integers(2, 25))
-        vert_scales = np.zeros(nv)
-        vert_rank = np.arange(nv, dtype=np.int64)
-        ne = int(rng.integers(1, nv * 2))
-        edge_u = rng.integers(0, nv, size=ne).astype(np.int64)
-        edge_v = (edge_u + 1 + rng.integers(0, nv - 1, size=ne)) % nv
-        edge_scales = np.sort(rng.uniform(0.0, 3.0, size=ne))
-        births, deaths, parent = _kernels.h0_merge_pairs(
+    for _ in range(30):
+        nv = int(rng.integers(1, 25))
+        vert_scales = rng.choice([0.0, 0.5, 1.0], size=nv).tolist()
+        vert_rank = rng.permutation(nv).tolist()
+        ne = int(rng.integers(0, nv * 2 + 1))
+        edge_u = rng.integers(0, nv, size=ne).tolist()
+        edge_v = rng.integers(0, nv, size=ne).tolist()
+        edge_scales = np.sort(rng.uniform(1.0, 3.0, size=ne)).tolist()
+        births, deaths, roots = _h0_merge(vert_scales, vert_rank, edge_u, edge_v,
+                                          edge_scales)
+        assert (births, deaths, roots) == oracle_h0_merge(
             vert_scales, vert_rank, edge_u, edge_v, edge_scales)
-        parent2 = np.arange(nv, dtype=np.int64)
-        ob = np.empty(ne)
-        od = np.empty(ne)
-        n2 = _h0_merge_loops(vert_scales, vert_rank, edge_u.copy(), edge_v.copy(),
-                             edge_scales, parent2, vert_scales.copy(),
-                             vert_rank.copy(), ob, od)
-        assert births.tolist() == ob[:n2].tolist()
-        assert deaths.tolist() == od[:n2].tolist()
-
-        def root(par, x):
-            while par[x] != x:
-                x = par[x]
-            return x
-
-        roots1 = {root(parent, v) for v in range(nv)}
-        roots2 = {root(parent2, v) for v in range(nv)}
-        assert roots1 == roots2

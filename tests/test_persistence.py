@@ -153,6 +153,21 @@ def test_distances_match_bruteforce_oracle():
             assert got_w == pytest.approx(oracle_wasserstein(p1, p2, p), rel=1e-12)
 
 
+def test_bottleneck_thousand_points_per_diagram():
+    # a recursive matcher once overflowed the stack at this size
+    rng = np.random.default_rng(45)
+
+    def diagram():
+        births = rng.uniform(0.0, 0.8, size=1000)
+        return diagram_of(np.column_stack([births, births + rng.uniform(0.05, 1.0, 1000)]))
+
+    d1, d2 = diagram(), diagram()
+    got = diagram_distance(d1, d2, mode="bottleneck")
+    to_diagonal = max(diagram_distance(d, PersistenceDiagram(), mode="bottleneck")
+                      for d in (d1, d2))
+    assert 0.0 < got <= to_diagonal
+
+
 def test_distance_pseudometric_properties():
     rng = np.random.default_rng(44)
     for _ in range(20):

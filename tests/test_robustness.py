@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
 from wtopo import (Graph, PerturbSpec, TopoLossConfig, adjacency_l1_distance,
                    default_config, perturb, select_landmarks, stability_sweep)
 from wtopo.robustness import LANDMARK_TARGETED, REPORT_COLUMNS
@@ -76,6 +76,30 @@ def test_perturb_landmark_targeted_touches_landmarks():
     flipped = set(before) ^ set(after)
     assert len(flipped) == 6
     assert all(u in marks or v in marks for u, v in flipped)
+
+
+def test_perturb_landmark_targeted_matches_candidate_list_oracle():
+    from wtopo.robustness import _decode_targeted_pairs, _targeted_offsets
+
+    rng = np.random.default_rng(76)
+    for _ in range(30):
+        n = int(rng.integers(1, 25))
+        marks = sorted(set(rng.integers(0, n, size=int(rng.integers(0, n + 1))).tolist()))
+        cand = sorted({(min(l, v), max(l, v)) for l in marks
+                       for v in range(n) if v != l})
+        starts, total = _targeted_offsets(np.array(marks, dtype=np.int64), n)
+        assert total == len(cand)
+        got = _decode_targeted_pairs(np.arange(total), starts,
+                                     np.array(marks, dtype=np.int64))
+        assert got.reshape(-1, 2).tolist() == [list(p) for p in cand]
+        # same RNG draw, same flips as indexing the explicit list
+        g = random_graph(rng, n, p=0.2)
+        budget = min(total, 5)
+        pick = np.random.default_rng(9).choice(total, size=budget, replace=False)
+        g2 = perturb(g, PerturbSpec(budget=budget, mode=LANDMARK_TARGETED, seed=9),
+                     landmarks=marks)
+        flipped = set(g.edge_weight_map()) ^ set(g2.edge_weight_map())
+        assert flipped == {cand[i] for i in pick}
 
 
 def test_perturb_landmark_targeted_requires_landmarks():
