@@ -16,13 +16,11 @@ import sys
 import tempfile
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .complexes import sandwich_check, vr_filtration, witness_filtration
 from .encodings import (TopoLossConfig, global_encoding, local_encoding,
                         topo_loss)
-from .graph import Graph, geodesics, load_edge_list
+from .graph import Graph, load_edge_list
 from .images import CAP, DROP, PIConfig, default_config, persistence_image
 from .landmarks import build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
@@ -30,12 +28,12 @@ from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
 from .robustness import PerturbSpec, perturb, stability_sweep
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, data: str | bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".wtopo-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fp:
-            fp.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fp:
+            fp.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -113,14 +111,12 @@ def _cmd_cover(args) -> int:
 
 def _cmd_diagram(args) -> int:
     g = _load_graph(args.input)
-    ls = select_landmarks(g, args.fraction)
-    land = np.asarray(ls.landmarks, dtype=np.int64)
-    rows = geodesics(g, ls.landmarks).dists
+    rows = build_cover(g, select_landmarks(g, args.fraction)).rows
     if args.complex == "witness":
-        filt = witness_filtration(rows[:, land], rows.T, args.max_dim,
-                                  args.max_scale, nu=args.nu)
+        filt = witness_filtration(rows.between_sources, rows.dists.T,
+                                  args.max_dim, args.max_scale, nu=args.nu)
     else:
-        filt = vr_filtration(rows[:, land], args.max_dim, args.max_scale)
+        filt = vr_filtration(rows.between_sources, args.max_dim, args.max_scale)
     diagram = compute_persistence(filt, args.algorithm)
     _emit(args.output, _diagram_json(diagram))
     return 0
@@ -143,9 +139,9 @@ def _cmd_local_features(args) -> int:
     if args.format == "bin":
         if args.output is None:
             raise ValueError("binary output needs -o/--output")
-        with open(args.output + ".part", "wb") as fp:
-            feats.to_binary(fp)
-        os.replace(args.output + ".part", args.output)
+        buf = io.BytesIO()
+        feats.to_binary(buf)
+        _atomic_write(args.output, buf.getvalue())
     else:
         _emit(args.output, _csv_of_matrix(feats.values))
     return 0
@@ -211,13 +207,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sandwich(args) -> int:
     g = _load_graph(args.input)
-    ls = select_landmarks(g, args.fraction)
-    cover = build_cover(g, ls)
-    land = np.asarray(ls.landmarks, dtype=np.int64)
-    rows = geodesics(g, ls.landmarks).dists
+    cover = build_cover(g, select_landmarks(g, args.fraction))
     alpha = args.alpha if args.alpha is not None else 2.0 * cover.cover_radius + 1.0
-    result = sandwich_check(rows[:, land], rows.T, alpha, cover.cover_radius,
-                            args.max_dim)
+    result = sandwich_check(cover.rows.between_sources, cover.rows.dists.T, alpha,
+                            cover.cover_radius, args.max_dim)
     text = "not-applicable" if result is None else ("true" if result else "false")
     _emit(args.output, text + "\n")
     return 0

@@ -16,9 +16,9 @@ from typing import IO
 import numpy as np
 
 from .complexes import witness_filtration
-from .graph import Graph, geodesics
+from .graph import DistanceMatrix, Graph, geodesics, induced_subgraphs
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
-from .landmarks import Cover, LandmarkSet, build_cover, select_landmarks
+from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
                           compute_persistence)
 
@@ -71,33 +71,25 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _subgraph(g: Graph, nodes: tuple[int, ...]) -> tuple[Graph, dict[int, int]]:
-    index = {v: i for i, v in enumerate(nodes)}
-    edges = [(index[int(u)], index[int(v)], float(w))
-             for (u, v), w in zip(g.edge_array, g.weights)
-             if int(u) in index and int(v) in index]
-    return Graph.from_edges(len(nodes), edges), index
-
-
-def _cell_diagram(g: Graph, members: tuple[int, ...], local_marks: tuple[int, ...],
-                  max_dim: int, max_scale: float, nu: int,
-                  algorithm: str) -> PersistenceDiagram:
-    sub, index = _subgraph(g, members)
-    marks = [index[m] for m in local_marks]
-    rows = geodesics(sub, marks).dists            # (L_local, |cell|)
-    land_dists = rows[:, marks]
-    filt = witness_filtration(land_dists, rows.T, max_dim, max_scale, nu=nu)
-    return compute_persistence(filt, algorithm)
+def _witness_diagram(rows: DistanceMatrix, max_dim: int, max_scale: float,
+                     nu: int, dimension: int) -> PersistenceDiagram:
+    """Lazy-witness diagram over the sources of ``rows``, every node a witness."""
+    filt = witness_filtration(rows.between_sources, rows.dists.T, max_dim,
+                              max_scale, nu=nu)
+    return compute_persistence(filt, UNION_FIND if dimension == 0 else REDUCTION)
 
 
 def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
                         dimension: int = 0,
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
     """Lazy-witness diagram of the induced subgraph of every cover cell."""
-    algorithm = UNION_FIND if dimension == 0 else REDUCTION
-    return {l: _cell_diagram(g, members, cover.local_landmarks[l],
-                             max_dim, max_scale, nu, algorithm)
-            for l, members in cover.cells.items()}
+    subgraphs = induced_subgraphs(g, cover.cell_of)
+    diagrams = {}
+    for l, marks in cover.local_landmarks.items():
+        sub, members = subgraphs[l]
+        rows = geodesics(sub, np.searchsorted(members, marks))
+        diagrams[l] = _witness_diagram(rows, max_dim, max_scale, nu, dimension)
+    return diagrams
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -106,16 +98,13 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     """Per-node rows: the cell's witness persistence image, broadcast to every
     node of the cell (nodes sharing a cell get identical rows)."""
     cfg = resolve_config(cfg, g)
-    ls = select_landmarks(g, fraction)
-    cover = build_cover(g, ls)
+    cover = build_cover(g, select_landmarks(g, fraction))
     diagrams = local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu,
                                    dimension=dimension, max_scale=max_scale)
-    r = cfg.grid_resolution
-    values = np.zeros((g.num_nodes, r * r))
-    for l, members in cover.cells.items():
-        row = persistence_image(diagrams[l], cfg, dimension).flatten()
-        values[list(members)] = row
-    return NodeFeatureMatrix(values, LOCAL)
+    images = {l: persistence_image(d, cfg, dimension).flatten()
+              for l, d in diagrams.items()}
+    return NodeFeatureMatrix(np.array([images[l] for l in cover.cell_of.tolist()]),
+                             LOCAL)
 
 
 def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -132,13 +121,12 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
 def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
                    dimension: int = 0, nu: int = 0,
                    max_scale: float = np.inf,
-                   landmark_set: LandmarkSet | None = None) -> PersistenceDiagram:
-    ls = landmark_set if landmark_set is not None else select_landmarks(g, fraction)
-    land = np.asarray(ls.landmarks, dtype=np.int64)
-    rows = geodesics(g, ls.landmarks).dists
-    filt = witness_filtration(rows[:, land], rows.T, max_dim, max_scale, nu=nu)
-    algorithm = UNION_FIND if dimension == 0 else REDUCTION
-    return compute_persistence(filt, algorithm)
+                   cover: Cover | None = None) -> PersistenceDiagram:
+    """Witness diagram of the whole graph over the cover's landmark rows; the
+    cover is built from ``fraction`` when not given."""
+    if cover is None:
+        cover = build_cover(g, select_landmarks(g, fraction))
+    return _witness_diagram(cover.rows, max_dim, max_scale, nu, dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = np.inf
+DIAMETER_BLOCK = 256        # source rows held at once by ``diameter``
 
 
 class GraphParseError(ValueError):
@@ -138,6 +139,11 @@ class DistanceMatrix:
         return int(self.dists.shape[1])
 
     @property
+    def between_sources(self) -> np.ndarray:
+        """(L, L) distances among the sources themselves, in source order."""
+        return self.dists[:, list(self.sources)]
+
+    @property
     def diameter(self) -> float:
         """Max finite entry; the graph diameter when sources cover all nodes."""
         finite = self.dists[np.isfinite(self.dists)]
@@ -248,8 +254,11 @@ def all_pairs(g: Graph, method: str = "auto") -> DistanceMatrix:
 
 
 def diameter(g: Graph) -> float:
-    """Max finite geodesic distance over all node pairs."""
-    return all_pairs(g).diameter
+    """Max finite geodesic distance over all node pairs; source rows are
+    computed DIAMETER_BLOCK at a time, so memory stays O(block x N)."""
+    n = g.num_nodes
+    return max(geodesics(g, range(lo, min(lo + DIAMETER_BLOCK, n))).diameter
+               for lo in range(0, n, DIAMETER_BLOCK))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -260,6 +269,32 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [comp.tolist() for comp in np.split(order, bounds)]
 
 
+def induced_subgraphs(g: Graph, labels: np.ndarray) -> dict[int, tuple[Graph, np.ndarray]]:
+    """Induced subgraph of every class of ``labels`` (one label per node).
+
+    Returns {label: (subgraph, members)} in ascending label order; ``members``
+    holds the class's node ids ascending and subgraph node i is members[i].
+    """
+    labels = np.asarray(labels)
+    if labels.shape != (g.num_nodes,):
+        raise ValueError("labels must hold one entry per node")
+    order = np.argsort(labels, kind="stable")                 # ids ascend in a class
+    keys, starts = np.unique(labels[order], return_index=True)
+    u_label, v_label = labels[g.edge_array].T
+    inner = np.flatnonzero(u_label == v_label)
+    inner = inner[np.argsort(u_label[inner], kind="stable")]  # keeps (u, v) order
+    edge_parts = np.split(inner, np.searchsorted(u_label[inner], keys[1:]))
+    old_to_new = np.empty(g.num_nodes, dtype=np.int64)
+    out = {}
+    for key, members, e in zip(keys.tolist(), np.split(order, starts[1:]), edge_parts):
+        # increasing on the class, so relabeled edges stay sorted with u < v
+        old_to_new[members] = np.arange(members.size)
+        feats = g.node_features[members] if g.node_features is not None else None
+        sub = Graph(int(members.size), old_to_new[g.edge_array[e]], g.weights[e], feats)
+        out[key] = (sub, members)
+    return out
+
+
 def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest component, nodes relabeled contiguously.
 
@@ -268,13 +303,9 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     new index of node i or -1 if i was dropped.
     """
     labels = g._component_labels
-    best = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+    sub, best = induced_subgraphs(g, labels == np.argmax(np.bincount(labels)))[True]
     old_to_new = np.full(g.num_nodes, -1, dtype=np.int64)
     old_to_new[best] = np.arange(best.size)
-    # old_to_new increases on the kept nodes, so relabeled edges stay sorted, u < v
-    keep = old_to_new[g.edge_array[:, 0]] >= 0
-    feats = g.node_features[best] if g.node_features is not None else None
-    sub = Graph(int(best.size), old_to_new[g.edge_array[keep]], g.weights[keep], feats)
     return sub, old_to_new
 
 

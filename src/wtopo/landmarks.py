@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, geodesics
+from .graph import DistanceMatrix, Graph, geodesics
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,8 @@ class Cover:
     finite landmark-to-landmark distance; ``cover_radius`` is the largest
     node-to-assigned-landmark distance; ``c_epsilon`` the largest cell size.
     ``local_landmarks`` re-runs the degree selection inside each induced cell
-    subgraph.
+    subgraph. ``cell_of[v]`` is the key of node v's cell; ``rows`` holds the
+    landmark geodesic rows, for the witness filtration. Neither is serialized.
     """
 
     cells: dict[int, tuple[int, ...]]
@@ -41,6 +41,8 @@ class Cover:
     c_epsilon: int
     local_landmarks: dict[int, tuple[int, ...]]
     self_covered: tuple[int, ...]
+    cell_of: np.ndarray = field(compare=False, repr=False)   # (N,) int64
+    rows: DistanceMatrix = field(compare=False, repr=False)  # (L, N)
 
     def to_json(self) -> str:
         obj = {
@@ -51,10 +53,6 @@ class Cover:
             "c_epsilon": self.c_epsilon,
         }
         return json.dumps(obj, separators=(",", ":"))
-
-    def write_json(self, fp: IO[str]) -> None:
-        fp.write(self.to_json())
-        fp.write("\n")
 
 
 def landmark_count(num_nodes: int, fraction: float) -> int:
@@ -71,60 +69,51 @@ def select_landmarks(g: Graph, fraction: float) -> LandmarkSet:
     return LandmarkSet(tuple(int(i) for i in order[:count]), fraction)
 
 
-def _local_selection(members: list[int], local_deg: np.ndarray, fraction: float) -> tuple[int, ...]:
-    count = landmark_count(len(members), fraction)
-    ranked = sorted(members, key=lambda v: (-int(local_deg[v]), v))
-    return tuple(ranked[:count])
-
-
 def build_cover(g: Graph, ls: LandmarkSet) -> Cover:
     """Assign every node to its geodesically nearest landmark.
 
     Ties go to the landmark earlier in the LandmarkSet order. Nodes unreachable
     from every landmark are flagged and become their own singleton cells.
+    Cells list the landmarks first, in LandmarkSet order, then those nodes.
     """
-    if len(ls.landmarks) == 0:
-        raise ValueError("landmark set is empty")
-    land = np.asarray(ls.landmarks, dtype=np.int64)
-    if land.min() < 0 or land.max() >= g.num_nodes:
-        raise ValueError("landmark ids outside [0, N)")
-    rows = geodesics(g, ls.landmarks).dists          # (L, N)
+    rows = geodesics(g, ls.landmarks)     # rejects empty or out-of-range landmarks
+    land = np.asarray(rows.sources, dtype=np.int64)
 
-    nearest_rank = np.argmin(rows, axis=0)           # first occurrence wins ties
-    nearest_dist = rows[nearest_rank, np.arange(g.num_nodes)]
+    nearest_rank = np.argmin(rows.dists, axis=0)     # first occurrence wins ties
+    nearest_dist = rows.dists[nearest_rank, np.arange(g.num_nodes)]
     reachable = np.isfinite(nearest_dist)
-
-    cell_of = np.empty(g.num_nodes, dtype=np.int64)  # owning landmark node id
-    cell_of[reachable] = land[nearest_rank[reachable]]
     unreachable_nodes = np.flatnonzero(~reachable)
-    cell_of[unreachable_nodes] = unreachable_nodes
+    cell_of = np.where(reachable, land[nearest_rank], np.arange(g.num_nodes))
 
-    cells: dict[int, list[int]] = {int(l): [] for l in ls.landmarks}
-    for v in unreachable_nodes:
-        cells[int(v)] = []
-    for v in range(g.num_nodes):
-        cells[int(cell_of[v])].append(v)
-
-    land_dists = rows[:, land]
+    land_dists = rows.between_sources
     finite = land_dists[np.isfinite(land_dists)]
     epsilon_pairwise = 0.5 * float(finite.max()) if finite.size else 0.0
     cover_radius = float(nearest_dist[reachable].max()) if reachable.any() else 0.0
 
     # degree within each induced cell subgraph: count edges staying in a cell
-    local_deg = np.zeros(g.num_nodes, dtype=np.int64)
-    if g.num_edges:
-        same = cell_of[g.edge_array[:, 0]] == cell_of[g.edge_array[:, 1]]
-        np.add.at(local_deg, g.edge_array[same, 0], 1)
-        np.add.at(local_deg, g.edge_array[same, 1], 1)
+    same = cell_of[g.edge_array[:, 0]] == cell_of[g.edge_array[:, 1]]
+    local_deg = np.bincount(g.edge_array[same].ravel(), minlength=g.num_nodes)
 
-    local_landmarks = {l: _local_selection(members, local_deg, ls.fraction)
-                       for l, members in cells.items()}
+    # one stable sort groups nodes by cell key with ids ascending; the lexsort
+    # groups them the same way, ranked by (-local degree, id) inside a cell
+    by_id = np.argsort(cell_of, kind="stable")
+    keys, starts = np.unique(cell_of[by_id], return_index=True)
+    members = dict(zip(keys.tolist(), np.split(by_id, starts[1:])))
+    by_rank = np.lexsort((-local_deg, cell_of))
+    ranked = dict(zip(keys.tolist(), np.split(by_rank, starts[1:])))
+    order = np.concatenate([land, unreachable_nodes]).tolist()
+    cells = {k: tuple(members[k].tolist()) for k in order}
+    local_landmarks = {
+        k: tuple(ranked[k][:landmark_count(len(cells[k]), ls.fraction)].tolist())
+        for k in order}
 
     return Cover(
-        cells={l: tuple(m) for l, m in cells.items()},
+        cells=cells,
         epsilon_pairwise=epsilon_pairwise,
         cover_radius=cover_radius,
         c_epsilon=max(len(m) for m in cells.values()),
         local_landmarks=local_landmarks,
-        self_covered=tuple(int(v) for v in unreachable_nodes),
+        self_covered=tuple(unreachable_nodes.tolist()),
+        cell_of=cell_of,
+        rows=rows,
     )

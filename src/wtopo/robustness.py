@@ -11,7 +11,7 @@ from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
                         topo_loss)
 from .graph import Graph, adjacency_l1_distance
 from .images import CAP, PIConfig, persistence_image, resolve_config
-from .landmarks import build_cover, select_landmarks
+from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import PersistenceDiagram, diagram_distance
 
 RANDOM = "random"
@@ -177,13 +177,14 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         raise ValueError("trials must be >= 1")
     cfg = resolve_config(cfg, g)
 
+    def diagrams(graph: Graph, cover: Cover) -> tuple[dict, PersistenceDiagram]:
+        # cell diagrams and the global diagram, both from the one cover
+        kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
+        return (local_cell_diagrams(graph, cover, **kw),
+                global_diagram(graph, fraction, cover=cover, **kw))
+
     ls = select_landmarks(g, fraction)
-    cover = build_cover(g, ls)
-    local_clean = local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu,
-                                      dimension=dimension, max_scale=max_scale)
-    glob_diag_clean = global_diagram(g, fraction, max_dim=max_dim,
-                                     dimension=dimension, nu=nu,
-                                     max_scale=max_scale, landmark_set=ls)
+    local_clean, glob_diag_clean = diagrams(g, build_cover(g, ls))
     glob_pi_clean = persistence_image(glob_diag_clean, cfg, dimension)
     loss_clean = topo_loss(glob_diag_clean, loss_cfg, dimension)
 
@@ -196,11 +197,7 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
             l1 = adjacency_l1_distance(g, g2)
             ls2 = ls if freeze_landmarks else select_landmarks(g2, fraction)
             cover2 = build_cover(g2, ls2)
-            local2 = local_cell_diagrams(g2, cover2, max_dim=max_dim, nu=nu,
-                                         dimension=dimension, max_scale=max_scale)
-            glob_diag2 = global_diagram(g2, fraction, max_dim=max_dim,
-                                        dimension=dimension, nu=nu,
-                                        max_scale=max_scale, landmark_set=ls2)
+            local2, glob_diag2 = diagrams(g2, cover2)
             glob_pi2 = persistence_image(glob_diag2, cfg, dimension)
 
             local_w = _local_drift(local_clean, local2, cfg, dimension,

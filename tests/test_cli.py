@@ -117,6 +117,18 @@ def test_local_features_csv_and_bin(cycle_path, tmp_path):
     assert len(raw) == 16 + 6 * 9 * 8
 
 
+@pytest.mark.parametrize("fmt", ["csv", "bin"])
+def test_local_features_failed_write_leaves_no_file(cycle_path, tmp_path,
+                                                    capsys, fmt):
+    target = tmp_path / "out"
+    target.mkdir()                       # renaming onto a directory fails
+    assert run(["local-features", "-i", cycle_path, "--fraction", "0.34",
+                "--grid", "3", "--format", fmt, "-o", str(target)]) == 1
+    assert "error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "out"]
+    assert list(target.iterdir()) == []
+
+
 def test_perturb_prints_seed_and_is_deterministic(cycle_path, tmp_path, capsys):
     out1 = tmp_path / "p1.edges"
     out2 = tmp_path / "p2.edges"

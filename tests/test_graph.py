@@ -7,6 +7,7 @@ from conftest import random_graph
 from wtopo import (Graph, GraphParseError, ValidationError,
                    adjacency_l1_distance, all_pairs, build_knn_graph,
                    geodesics, largest_connected_component, load_edge_list)
+from wtopo.graph import induced_subgraphs
 
 
 def test_load_edge_list_basic():
@@ -167,6 +168,48 @@ def test_lcc_matches_from_edges_construction():
         assert np.array_equal(sub.edge_array, want.edge_array)
         assert np.array_equal(sub.weights, want.weights)
         assert np.array_equal(sub.node_features, want.node_features)
+
+
+def subgraph_oracle(g, members):
+    """Induced subgraph by filtering the whole edge list (no sorting tricks)."""
+    index = {v: i for i, v in enumerate(members)}
+    return Graph.from_edges(len(members), [
+        (index[int(u)], index[int(v)], float(w))
+        for (u, v), w in zip(g.edge_array, g.weights)
+        if int(u) in index and int(v) in index])
+
+
+def test_induced_subgraphs_match_filtered_edge_list():
+    rng = np.random.default_rng(62)
+    seen_singleton = seen_edgeless_pair = False
+    for trial in range(40):
+        n = int(rng.integers(1, 40))
+        feats = rng.normal(size=(n, 2))
+        g = random_graph(rng, n, p=float(rng.choice([0.04, 0.25])),
+                         weighted=bool(trial % 2))
+        g = Graph(g.num_nodes, g.edge_array, g.weights, feats)
+        # sparse, partly negative labels plus a few singleton classes
+        labels = 7 * rng.integers(-2, max(1, n // 4), size=n)
+        labels[rng.choice(n, size=min(n, 3), replace=False)] = 1000 + np.arange(min(n, 3))
+        parts = induced_subgraphs(g, labels)
+        assert list(parts) == sorted(set(labels.tolist()))
+        for key, (sub, members) in parts.items():
+            assert members.tolist() == np.flatnonzero(labels == key).tolist()
+            want = subgraph_oracle(g, members.tolist())
+            assert sub.num_nodes == want.num_nodes
+            assert sub.edge_array.dtype == want.edge_array.dtype
+            assert np.array_equal(sub.edge_array, want.edge_array)
+            assert np.array_equal(sub.weights, want.weights)
+            assert np.array_equal(sub.node_features, feats[members])
+            seen_singleton |= members.size == 1
+            seen_edgeless_pair |= members.size > 1 and sub.num_edges == 0
+    assert seen_singleton and seen_edgeless_pair
+
+
+def test_induced_subgraphs_rejects_wrong_label_count():
+    g = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        induced_subgraphs(g, np.zeros(2, dtype=np.int64))
 
 
 def test_adjacency_l1_identity_and_single_flip():

@@ -5,8 +5,9 @@ import networkx as nx
 import numpy as np
 
 from conftest import oracle_witness_edge_scales, random_connected_graph, random_graph
+from wtopo import Graph
 from wtopo.complexes import _witness_edge_scales, relaxation_terms
-from wtopo.graph import connected_components, geodesics
+from wtopo.graph import DIAMETER_BLOCK, connected_components, diameter, geodesics
 from wtopo.persistence import _h0_merge
 
 
@@ -62,6 +63,32 @@ def test_dijkstra_agrees_with_bfs_on_unit_weights():
     bfs = geodesics(g, range(25), method="bfs").dists
     dij = geodesics(g, range(25), method="dijkstra").dists
     assert np.array_equal(bfs, dij)
+
+
+def oracle_diameter(g, weighted):
+    G = to_networkx(g)
+    if weighted:
+        return max(d for _, lengths in nx.all_pairs_dijkstra_path_length(G)
+                   for d in lengths.values())
+    return max(nx.diameter(G.subgraph(c)) for c in nx.connected_components(G))
+
+
+def test_diameter_matches_networkx():
+    rng = np.random.default_rng(37)
+    for weighted in (False, True):
+        graphs = [random_connected_graph(rng, int(rng.integers(1, 40)), extra=10,
+                                         weighted=weighted) for _ in range(8)]
+        # disconnected and larger than one block of source rows
+        graphs.append(random_graph(rng, DIAMETER_BLOCK + 60, p=0.006,
+                                   weighted=weighted))
+        assert len(connected_components(graphs[-1])) > 1
+        # the only long path lies past the first block
+        graphs.append(Graph.from_edges(DIAMETER_BLOCK + 60, [
+            (v, v + 1, float(rng.uniform(0.5, 2.0)) if weighted else 1.0)
+            for v in range(DIAMETER_BLOCK, DIAMETER_BLOCK + 59)]))
+        for g in graphs:
+            np.testing.assert_allclose(diameter(g), oracle_diameter(g, weighted),
+                                       rtol=1e-12, atol=0)
 
 
 def test_connected_components_match_networkx():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph
 from wtopo import (Graph, LandmarkSet, build_cover, geodesics,
                    select_landmarks)
 from wtopo.landmarks import landmark_count
@@ -116,6 +116,39 @@ def test_local_landmarks_follow_induced_degrees():
     assert cover.cells[1] == (0, 1, 2, 3, 4)
     assert cover.local_landmarks[1][0] == 1
     assert len(cover.local_landmarks[1]) == 2
+
+
+def test_cover_rows_cells_and_local_landmarks_match_oracles():
+    rng = np.random.default_rng(24)
+    for trial in range(30):
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, p=0.12, weighted=bool(trial % 2))
+        ls = select_landmarks(g, float(rng.uniform(0.1, 0.5)))
+        cover = build_cover(g, ls)
+        rows = geodesics(g, ls.landmarks).dists
+        assert np.array_equal(cover.rows.dists, rows)
+        assert cover.rows.sources == ls.landmarks
+
+        # nearest landmark, earlier landmark on ties, unreachable nodes alone
+        cells = {l: [] for l in ls.landmarks}
+        for v in range(n):
+            if np.isfinite(rows[:, v].min()):
+                cells[ls.landmarks[int(np.argmin(rows[:, v]))]].append(v)
+            else:
+                cells[v] = [v]
+        assert list(cover.cells) == list(cells)
+        assert cover.cells == {l: tuple(c) for l, c in cells.items()}
+        assert all(cover.cell_of[v] == l for l, c in cells.items() for v in c)
+
+        # local landmarks: top nodes by (-degree inside the cell, id)
+        for l, cell in cells.items():
+            inside = set(cell)
+            deg = {v: sum(1 for a, b in g.edge_array.tolist()
+                          if (a == v and b in inside) or (b == v and a in inside))
+                   for v in cell}
+            ranked = sorted(cell, key=lambda v: (-deg[v], v))
+            count = landmark_count(len(cell), ls.fraction)
+            assert cover.local_landmarks[l] == tuple(ranked[:count])
 
 
 def test_cover_serialization_deterministic():
