@@ -76,6 +76,11 @@ def _image_config(args, g: Graph | None) -> PIConfig:
                          "when no graph input is available")
     cfg = default_config(g, grid_resolution=args.grid, sigma=args.sigma,
                          essential_policy=args.essential_policy)
+    # a range given alone replaces only its own default
+    if args.birth_range:
+        cfg = replace(cfg, birth_range=_parse_range(args.birth_range))
+    if args.pers_range:
+        cfg = replace(cfg, persistence_range=_parse_range(args.pers_range))
     if args.cap_value is not None:
         cfg = replace(cfg, cap_value=args.cap_value)
     return cfg

@@ -127,11 +127,15 @@ def _witness_edge_scales(witness_dists: np.ndarray, m_nu: np.ndarray) -> np.ndar
     mn = m_nu[active]
     if wd.shape[0] == 0:
         return out
+    # min_w max(x_w, 0) == max(min_w x_w, 0), so the clamp runs once at the
+    # end; one (W, L) buffer serves every row, so the loop allocates nothing
+    # and its cost does not depend on how the allocator trims freed memory
+    pairwise = np.empty_like(wd)
     for i in range(n_land):
-        pairwise = np.maximum(wd[:, i : i + 1], wd)  # (W, L)
-        vals = np.where(pairwise == np.inf, np.inf,
-                        np.maximum(pairwise - mn[:, None], 0.0))
-        out[i, :] = vals.min(axis=0)
+        np.maximum(wd[:, i : i + 1], wd, out=pairwise)
+        pairwise -= mn[:, None]                      # inf stays inf: mn is finite
+        pairwise.min(axis=0, out=out[i])
+    np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, np.inf)
     return out
 

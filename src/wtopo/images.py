@@ -71,19 +71,22 @@ def stability_constant(sigma: float) -> float:
     return math.sqrt(5.0) + math.sqrt(10.0 / math.pi) / sigma
 
 
+def _lcc_diameter(g: Graph) -> float:
+    lcc, _ = largest_connected_component(g)
+    return diameter(lcc)
+
+
 def resolve_config(cfg: PIConfig, g: Graph) -> PIConfig:
     """Fill cap_value from the graph when unset (LCC diameter + 1)."""
     if cfg.essential_policy == CAP and cfg.cap_value is None:
-        lcc, _ = largest_connected_component(g)
-        return replace(cfg, cap_value=diameter(lcc) + 1.0)
+        return replace(cfg, cap_value=_lcc_diameter(g) + 1.0)
     return cfg
 
 
 def default_config(g: Graph, grid_resolution: int = 10, sigma: float = 1.0,
                    essential_policy: str = CAP) -> PIConfig:
     """Grid over [0, diam] x [0, diam] of the LCC, cap at diam + 1."""
-    lcc, _ = largest_connected_component(g)
-    diam = max(diameter(lcc), 1.0)
+    diam = max(_lcc_diameter(g), 1.0)
     return PIConfig(
         grid_resolution=grid_resolution,
         birth_range=(0.0, diam),

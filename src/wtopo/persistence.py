@@ -310,6 +310,10 @@ def diagram_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     """
     if essential not in ("match", "drop"):
         raise ValueError("essential must be 'match' or 'drop'")
+    if mode not in ("bottleneck", "wasserstein"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "wasserstein" and p < 1.0:
+        raise ValueError("wasserstein requires p >= 1")
     p1, p2 = d1.points_in(dimension), d2.points_in(dimension)
     if essential == "match":
         ecosts = _essential_costs(d1.essential_in(dimension), d2.essential_in(dimension))
@@ -320,10 +324,6 @@ def diagram_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     if mode == "bottleneck":
         base = _bottleneck_finite(p1, p2)
         return float(max(base, ecosts.max() if ecosts.size else 0.0))
-    if mode == "wasserstein":
-        if p < 1.0:
-            raise ValueError("wasserstein requires p >= 1")
-        total = _wasserstein_finite(p1, p2, p)
-        total += float((ecosts ** p).sum())
-        return float(total ** (1.0 / p))
-    raise ValueError(f"unknown mode {mode!r}")
+    total = _wasserstein_finite(p1, p2, p)
+    total += float((ecosts ** p).sum())
+    return float(total ** (1.0 / p))

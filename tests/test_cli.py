@@ -102,6 +102,21 @@ def test_global_features_csv(cycle_path, tmp_path):
     assert len(rows) == 4 and all(len(r.split(",")) == 4 for r in rows)
 
 
+@pytest.mark.parametrize("lone, other", [("--birth-range", "--pers-range"),
+                                         ("--pers-range", "--birth-range")])
+def test_lone_range_flag_keeps_other_default(cycle_path, tmp_path, lone, other):
+    # the six-cycle's default ranges are [0, 3], its LCC diameter
+    def features(*flags):
+        out = tmp_path / "g.csv"
+        assert run(["global-features", "-i", cycle_path, "--fraction", "0.34",
+                    "--grid", "4", "-o", str(out), *flags]) == 0
+        return out.read_text()
+
+    alone = features(lone, "0,5")
+    assert alone == features(lone, "0,5", other, "0,3")
+    assert alone != features()
+
+
 def test_local_features_csv_and_bin(cycle_path, tmp_path):
     csv_out = tmp_path / "f.csv"
     assert run(["local-features", "-i", cycle_path, "--fraction", "0.34",

@@ -7,7 +7,7 @@ import numpy as np
 from conftest import oracle_witness_edge_scales, random_connected_graph, random_graph
 from wtopo import Graph
 from wtopo.complexes import _witness_edge_scales, relaxation_terms
-from wtopo.graph import DIAMETER_BLOCK, connected_components, diameter, geodesics
+from wtopo.graph import connected_components, diameter, geodesics
 from wtopo.persistence import _h0_merge
 
 
@@ -78,17 +78,50 @@ def test_diameter_matches_networkx():
     for weighted in (False, True):
         graphs = [random_connected_graph(rng, int(rng.integers(1, 40)), extra=10,
                                          weighted=weighted) for _ in range(8)]
-        # disconnected and larger than one block of source rows
-        graphs.append(random_graph(rng, DIAMETER_BLOCK + 60, p=0.006,
-                                   weighted=weighted))
+        graphs.append(random_graph(rng, 316, p=0.006, weighted=weighted))
         assert len(connected_components(graphs[-1])) > 1
-        # the only long path lies past the first block
-        graphs.append(Graph.from_edges(DIAMETER_BLOCK + 60, [
+        # the only long path lies among the highest node ids
+        graphs.append(Graph.from_edges(316, [
             (v, v + 1, float(rng.uniform(0.5, 2.0)) if weighted else 1.0)
-            for v in range(DIAMETER_BLOCK, DIAMETER_BLOCK + 59)]))
+            for v in range(256, 315)]))
         for g in graphs:
             np.testing.assert_allclose(diameter(g), oracle_diameter(g, weighted),
                                        rtol=1e-12, atol=0)
+
+
+def test_diameter_equals_all_pairs_maximum():
+    rng = np.random.default_rng(38)
+    for weighted in (False, True):
+        def w():
+            return float(rng.uniform(0.5, 2.0)) if weighted else 1.0
+
+        graphs = [Graph.from_edges(1), Graph.from_edges(7),
+                  Graph.from_edges(30, [(v, v + 1, w()) for v in range(29)]),
+                  Graph.from_edges(30, [(0, v, w()) for v in range(1, 30)]),
+                  Graph.from_edges(12, [(u, v, w()) for u in range(12)
+                                        for v in range(u + 1, 12)])]
+        for _ in range(25):
+            n = int(rng.integers(1, 120))
+            graphs.append(random_connected_graph(rng, n, extra=int(rng.integers(0, n + 1)),
+                                                 weighted=weighted))
+            graphs.append(random_graph(rng, n, p=float(rng.uniform(0.0, 4.0 / n)),
+                                       weighted=weighted))
+        for g in graphs:
+            assert diameter(g) == geodesics(g, range(g.num_nodes)).diameter
+
+
+def test_diameter_computes_few_source_rows(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(39), 1500, extra=1500)
+    rows = []
+
+    def counting(g, sources, method="auto"):
+        rows.extend(sources)
+        return geodesics(g, sources, method)
+
+    monkeypatch.setattr("wtopo.graph.geodesics", counting)
+    got = diameter(g)
+    assert len(rows) < g.num_nodes // 2
+    assert got == geodesics(g, range(g.num_nodes)).diameter
 
 
 def test_connected_components_match_networkx():

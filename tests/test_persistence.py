@@ -132,6 +132,15 @@ def test_essential_count_mismatch_is_inf():
     assert diagram_distance(d1, d2, essential="drop") == 0.0
 
 
+def test_arguments_checked_before_essential_count_mismatch():
+    d1 = diagram_of([[0, 1]], essential=[0.0])
+    d2 = diagram_of([[0, 1]], essential=[0.0, 0.0])
+    with pytest.raises(ValueError, match="unknown mode"):
+        diagram_distance(d1, d2, mode="nonsense")
+    with pytest.raises(ValueError, match="p >= 1"):
+        diagram_distance(d1, d2, mode="wasserstein", p=0.5)
+
+
 def test_essential_matched_by_sorted_births():
     d1 = diagram_of([], essential=[0.0, 2.0])
     d2 = diagram_of([], essential=[1.0, 2.5])
