@@ -64,19 +64,20 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _image_config(args, g: Graph | None) -> PIConfig:
-    if args.birth_range and args.pers_range:
+    if g is None:
+        if not (args.birth_range and args.pers_range):
+            raise ValueError("--birth-range and --pers-range are required "
+                             "when no graph input is available")
         return PIConfig(grid_resolution=args.grid,
                         birth_range=_parse_range(args.birth_range),
                         persistence_range=_parse_range(args.pers_range),
                         sigma=args.sigma,
                         essential_policy=args.essential_policy,
                         cap_value=args.cap_value)
-    if g is None:
-        raise ValueError("--birth-range and --pers-range are required "
-                         "when no graph input is available")
+    # with a graph, each range or cap given replaces only its own default, so
+    # giving explicit ranges never changes the default essential cap
     cfg = default_config(g, grid_resolution=args.grid, sigma=args.sigma,
                          essential_policy=args.essential_policy)
-    # a range given alone replaces only its own default
     if args.birth_range:
         cfg = replace(cfg, birth_range=_parse_range(args.birth_range))
     if args.pers_range:
@@ -250,7 +251,7 @@ def _add_image_flags(p, require_ranges: bool = False):
                    help="how essential points enter the image (default cap)")
     p.add_argument("--cap-value", type=float, default=None,
                    help="death value for capped essential points "
-                        "(default: LCC diameter + 1)")
+                        "(default: max(LCC diameter, 1) + 1)")
     p.add_argument("--dimension", type=int, default=0,
                    help="homology dimension to vectorize (default 0)")
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
-from typing import IO, Sequence
+from functools import cached_property
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .graph import ValidationError
 
 VR = "vr"
 WITNESS = "witness"
+_TRIANGLE_CHUNK = 1 << 20   # common-neighbour mask cells per triangle-search step
 
 
 @dataclass(frozen=True)
@@ -25,34 +26,97 @@ class Simplex:
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
-class Filtration:
-    """Simplices sorted by (scale asc, dimension asc, lexicographic vertices).
+def _sort_dim(verts: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # rows given in lexicographic order -> (scale asc, lexicographic vertices)
+    order = np.argsort(scales, kind="stable")
+    return verts[order], scales[order]
 
-    The sort order is a valid filtration order: every face precedes its
-    cofaces, and truncating at any scale leaves a face-closed complex.
+
+@dataclass(frozen=True, eq=False)
+class Filtration:
+    """A filtered simplicial complex stored as one pair of arrays per dimension.
+
+    ``vertices[d]`` is an (m_d, d + 1) int64 array of simplices with ascending
+    vertex ids (the n vertices are 0..n-1) and ``scales[d]`` the (m_d,)
+    float64 entry scales, both sorted by (scale asc, lexicographic vertices).
+    The global order (scale asc, dimension asc, lexicographic vertices) is a
+    valid filtration order: every face precedes its cofaces, and truncating at
+    any scale leaves a face-closed complex. Restricted to one dimension it is
+    that dimension's array order, so columns can be reduced one dimension at
+    a time. ``simplices`` is the whole complex as a tuple in the global order,
+    built on first use.
     """
 
-    simplices: tuple[Simplex, ...]
+    vertices: tuple[np.ndarray, ...]
+    scales: tuple[np.ndarray, ...]
     max_dim: int
     max_scale: float
     kind: str
     nu: int = 0
 
+    @classmethod
+    def from_simplices(cls, simplices: Iterable[tuple[Sequence[int], float]],
+                       max_dim: int, max_scale: float = np.inf, kind: str = VR,
+                       nu: int = 0) -> "Filtration":
+        """Filtration from (vertices, scale) pairs given in any order.
+
+        The n vertices must carry the ids 0..n-1; they may enter at any scale
+        and in any order. Every face of every simplex must be present, and no
+        simplex may repeat.
+        """
+        if max_dim not in (0, 1, 2):
+            raise ValueError("max_dim must be 0, 1 or 2")
+        verts: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
+        scales: list[list[float]] = [[] for _ in range(max_dim + 1)]
+        for vs, scale in sorted((tuple(sorted(int(v) for v in vs)), float(scale))
+                                for vs, scale in simplices):
+            if not 1 <= len(vs) <= max_dim + 1:
+                raise ValueError(f"simplex {vs} is outside dimensions 0..{max_dim}")
+            verts[len(vs) - 1].append(vs)
+            scales[len(vs) - 1].append(scale)
+        n = len(verts[0])
+        for vs in verts:
+            if len(set(vs)) != len(vs):
+                raise ValueError("a simplex is given twice")
+            if any(not 0 <= v < n for simplex in vs for v in simplex):
+                raise ValueError(f"vertex ids must be 0..{n - 1}, one vertex simplex each")
+        arrays = [_sort_dim(np.array(v, dtype=np.int64).reshape(len(v), d + 1),
+                            np.array(s, dtype=np.float64))
+                  for d, (v, s) in enumerate(zip(verts, scales))]
+        f = cls(*zip(*arrays), max_dim, max_scale, kind, nu)
+        if any((f.facets(d) < 0).any() for d in range(1, max_dim + 1)):
+            raise ValueError("a face of some simplex is missing")
+        return f
+
+    def facets(self, d: int) -> np.ndarray:
+        """(m_d, d + 1) positions in dimension d - 1 of each d-simplex's facets
+        (-1 for a facet that is not in the filtration). Uses an n**d table,
+        as large as the n x n edge-scale matrix for d = 2."""
+        n = self.scales[0].size
+        radix = np.array([n ** (d - 1 - c) for c in range(d)])   # d vertex ids -> one key
+        position = np.full(n ** d, -1, dtype=np.int64)
+        position[self.vertices[d - 1] @ radix] = np.arange(self.scales[d - 1].size)
+        drop = [[c for c in range(d + 1) if c != t] for t in range(d + 1)]
+        return position[self.vertices[d][:, drop] @ radix]
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(s.size for s in self.scales)
+
+    @cached_property
+    def simplices(self) -> tuple[Simplex, ...]:
+        dims = np.concatenate([np.full(s.size, d) for d, s in enumerate(self.scales)])
+        order = np.lexsort((dims, np.concatenate(self.scales)))   # stable
+        flat = [Simplex(tuple(v), s) for vs, ss in zip(self.vertices, self.scales)
+                for v, s in zip(vs.tolist(), ss.tolist())]
+        return tuple(flat[i] for i in order.tolist())
 
     def simplex_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(s.vertices for s in self.simplices)
+        return frozenset(tuple(v) for vs in self.vertices for v in vs.tolist())
 
     def to_jsonl(self, fp: IO[str]) -> None:
         for s in self.simplices:
             fp.write(json.dumps({"vertices": list(s.vertices), "scale": s.scale}))
             fp.write("\n")
-
-
-def _sort_key(s: Simplex):
-    return (s.scale, len(s.vertices), s.vertices)
 
 
 def _validate_square(dists: np.ndarray, name: str) -> np.ndarray:
@@ -68,22 +132,39 @@ def _validate_square(dists: np.ndarray, name: str) -> np.ndarray:
     return np.minimum(d, d.T)
 
 
+def _triangles(present: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    # (i, j, k) with i < j < k and all three edges present, in lexicographic
+    # order: each edge (i, j) meets the common neighbours k > j of its ends
+    n = present.shape[0]
+    step = max(1, _TRIANGLE_CHUNK // max(n, 1))
+    later = np.arange(n)
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    for lo in range(0, edges.shape[0], step):
+        i, j = edges[lo:lo + step].T
+        e, k = np.nonzero(present[i] & present[j] & (later > j[:, None]))
+        parts.append(np.column_stack([i[e], j[e], k]))
+    return np.concatenate(parts)
+
+
 def _assemble(n: int, edge_scales: np.ndarray, max_dim: int, max_scale: float,
               kind: str, nu: int = 0) -> Filtration:
     # edge_scales[i, j] = entry scale of edge (i, j); inf means never present
-    simplices = [Simplex((i,), 0.0) for i in range(n)]
     present = np.isfinite(edge_scales) & (edge_scales <= max_scale)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if present[i, j]:
-                simplices.append(Simplex((i, j), float(edge_scales[i, j])))
+    ids = np.arange(n, dtype=np.int64)
+    verts, scales = [ids[:, None]], [np.zeros(n)]      # already in (0.0, id) order
+    if max_dim >= 1:
+        edges = np.argwhere(present & (ids[:, None] < ids))  # upper triangle, row-major
+        verts.append(edges)
+        scales.append(edge_scales[edges[:, 0], edges[:, 1]])
     if max_dim >= 2:
-        for i, j, k in combinations(range(n), 3):
-            if present[i, j] and present[i, k] and present[j, k]:
-                scale = max(edge_scales[i, j], edge_scales[i, k], edge_scales[j, k])
-                simplices.append(Simplex((i, j, k), float(scale)))
-    simplices.sort(key=_sort_key)
-    return Filtration(tuple(simplices), max_dim, max_scale, kind, nu)
+        tri = _triangles(present, edges)
+        i, j, k = tri.T
+        verts.append(tri)
+        scales.append(np.maximum(np.maximum(edge_scales[i, j], edge_scales[i, k]),
+                                 edge_scales[j, k]))
+    for d in range(1, max_dim + 1):
+        verts[d], scales[d] = _sort_dim(verts[d], scales[d])
+    return Filtration(tuple(verts), tuple(scales), max_dim, max_scale, kind, nu)
 
 
 def vr_filtration(dists: np.ndarray, max_dim: int, max_scale: float) -> Filtration:
@@ -96,8 +177,6 @@ def vr_filtration(dists: np.ndarray, max_dim: int, max_scale: float) -> Filtrati
         raise ValueError("max_scale must be non-negative")
     edge_scales = d.copy()
     np.fill_diagonal(edge_scales, np.inf)
-    if max_dim == 0:
-        edge_scales = np.full_like(edge_scales, np.inf)
     return _assemble(d.shape[0], edge_scales, max_dim, max_scale, VR)
 
 

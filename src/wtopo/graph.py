@@ -349,11 +349,12 @@ def adjacency_l1_distance(g1: Graph, g2: Graph, weighted: bool = False) -> float
     """
     if g1.num_nodes != g2.num_nodes:
         raise ValueError("graphs must have the same number of nodes")
-    m1 = g1.edge_weight_map()
-    m2 = g2.edge_weight_map()
+    # one key u * n + v per edge; edge_array is sorted and unique, so are they
+    k1, k2 = (g.edge_array[:, 0] * g.num_nodes + g.edge_array[:, 1] for g in (g1, g2))
     if not weighted:
-        return float(len(set(m1) ^ set(m2)))
-    total = 0.0
-    for key in set(m1) | set(m2):
-        total += abs(m1.get(key, 0.0) - m2.get(key, 0.0))
-    return total
+        return float(np.setxor1d(k1, k2, assume_unique=True).size)
+    keys = np.union1d(k1, k2)
+    w = np.zeros((2, keys.size))
+    w[0, np.searchsorted(keys, k1)] = g1.weights
+    w[1, np.searchsorted(keys, k2)] = g2.weights
+    return float(np.abs(w[0] - w[1]).sum())

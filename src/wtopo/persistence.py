@@ -88,18 +88,6 @@ class PersistenceDiagram:
         return cls(pts, ess)
 
 
-def _filtration_arrays(f: Filtration):
-    verts, edges, higher = [], [], []
-    for idx, s in enumerate(f.simplices):
-        if s.dim == 0:
-            verts.append((s.vertices[0], s.scale, idx))
-        elif s.dim == 1:
-            edges.append((s.vertices, s.scale))
-        else:
-            higher.append(s)
-    return verts, edges, higher
-
-
 def _h0_merge(vert_scales: list[float], vert_rank: list[int], edge_u: list[int],
               edge_v: list[int], edge_scales: list[float]):
     """Kruskal-style merge events over edges given in filtration order.
@@ -134,56 +122,61 @@ def _h0_merge(vert_scales: list[float], vert_rank: list[int], edge_u: list[int],
 
 
 def _union_find_h0(f: Filtration) -> PersistenceDiagram:
-    verts, edges, _ = _filtration_arrays(f)
-    if not verts:
+    vert_scales = f.scales[0].tolist()
+    if not vert_scales:
         return PersistenceDiagram()
-    vid_to_pos = {vid: pos for pos, (vid, _, _) in enumerate(verts)}
-    vert_scales = [s for _, s, _ in verts]
-    births, deaths, roots = _h0_merge(
-        vert_scales, [idx for _, _, idx in verts],
-        [vid_to_pos[e[0][0]] for e in edges], [vid_to_pos[e[0][1]] for e in edges],
-        [e[1] for e in edges])
+    edge_u, edge_v, edge_scales = [], [], []
+    if len(f.scales) > 1:
+        edge_v, edge_u = f.facets(1).T.tolist()
+        edge_scales = f.scales[1].tolist()
+    births, deaths, roots = _h0_merge(vert_scales, list(range(len(vert_scales))),
+                                      edge_u, edge_v, edge_scales)
     essential = np.array(sorted(vert_scales[r] for r in roots), dtype=np.float64)
     pts = np.column_stack([births, deaths]) if births else _EMPTY_POINTS
     return PersistenceDiagram._build({0: pts}, {0: essential})
 
 
-def _reduction(f: Filtration) -> PersistenceDiagram:
-    index_of = {s.vertices: i for i, s in enumerate(f.simplices)}
-    columns: list[set[int]] = []
-    for s in f.simplices:
-        if s.dim == 0:
-            columns.append(set())
-        else:
-            columns.append({index_of[s.vertices[:k] + s.vertices[k + 1:]]
-                            for k in range(len(s.vertices))})
-    low_to_col: dict[int, int] = {}
-    pair_of: dict[int, int] = {}
+def _reduce(columns: list[int], rows: int) -> list[int]:
+    """Standard left-to-right column reduction over GF(2), in place.
+
+    Column j is a Python int whose bit i marks row i; its low is the highest
+    set bit. Returns ``pivot``: pivot[i] = j when reduced column j has low i,
+    else -1.
+    """
+    pivot = [-1] * rows
     for j, col in enumerate(columns):
         while col:
-            low = max(col)
-            k = low_to_col.get(low)
-            if k is None:
+            low = col.bit_length() - 1
+            k = pivot[low]
+            if k < 0:
+                pivot[low] = j
                 break
             col ^= columns[k]
-        if col:
-            low = max(col)
-            low_to_col[low] = j
-            pair_of[low] = j
+        columns[j] = col
+    return pivot
 
-    points: dict[int, list[tuple[float, float]]] = {}
-    essential: dict[int, list[float]] = {}
-    for i, s in enumerate(f.simplices):
-        if columns[i]:
-            continue                       # i is a death column, not a birth
-        j = pair_of.get(i)
-        if j is None:
-            essential.setdefault(s.dim, []).append(s.scale)
-        else:
-            points.setdefault(s.dim, []).append((s.scale, f.simplices[j].scale))
-    return PersistenceDiagram._build(
-        {d: np.array(p, dtype=np.float64) for d, p in points.items()},
-        {d: np.array(b, dtype=np.float64) for d, b in essential.items()})
+
+def _reduction(f: Filtration) -> PersistenceDiagram:
+    # The global filtration order restricted to one dimension is that
+    # dimension's array order, and a column of dimension d only ever absorbs
+    # columns of dimension d, so reducing one dimension at a time (rows are
+    # facet positions in the dimension below) gives the whole-matrix pairs.
+    scales = f.scales
+    pivots, zero = [], [np.ones(scales[0].size, dtype=bool)]
+    for d in range(1, len(scales)):
+        columns = [0] * scales[d].size
+        for rows in f.facets(d).T.tolist():
+            columns = [c | (1 << i) for c, i in zip(columns, rows)]
+        pivots.append(np.array(_reduce(columns, scales[d - 1].size), dtype=np.int64))
+        zero.append(np.array([not c for c in columns], dtype=bool))
+    pivots.append(np.full(scales[-1].size, -1))
+    points, essential = {}, {}
+    for d, s in enumerate(scales):
+        paired = pivots[d] >= 0
+        if paired.any():
+            points[d] = np.column_stack([s[paired], scales[d + 1][pivots[d][paired]]])
+        essential[d] = s[zero[d] & ~paired]      # zero columns never killed
+    return PersistenceDiagram._build(points, essential)
 
 
 def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
@@ -192,8 +185,8 @@ def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
 
     ``union-find`` runs Kruskal-style component merging and is valid for
     dimension-0 output only; ``reduction`` runs the standard boundary-matrix
-    column reduction in filtration order (O(len(f)^3) worst case) and yields
-    every dimension present. Both use the elder rule with ties broken toward
+    column reduction in filtration order, one dimension at a time on bitset
+    columns (O(len(f)^3) worst case), and yields every dimension present. Both use the elder rule with ties broken toward
     the lower vertex index and emit one essential dimension-0 point per
     connected component of the final complex.
     """

@@ -94,6 +94,51 @@ def oracle_witness_edge_scales(witness_dists, nu):
     return out
 
 
+def oracle_assemble(n, edge_scales, max_dim, max_scale):
+    """(vertices, scale) pairs of the filtration over ``edge_scales`` (inf:
+    edge never present), from explicit loops over pairs and triples, sorted
+    by (scale, dimension, vertices)."""
+    simplices = [((i,), 0.0) for i in range(n)]
+    present = np.isfinite(edge_scales) & (edge_scales <= max_scale)
+    if max_dim >= 1:
+        for i, j in combinations(range(n), 2):
+            if present[i, j]:
+                simplices.append(((i, j), float(edge_scales[i, j])))
+    if max_dim >= 2:
+        for i, j, k in combinations(range(n), 3):
+            if present[i, j] and present[i, k] and present[j, k]:
+                scale = max(edge_scales[i, j], edge_scales[i, k], edge_scales[j, k])
+                simplices.append(((i, j, k), float(scale)))
+    simplices.sort(key=lambda s: (s[1], len(s[0]), s[0]))
+    return simplices
+
+
+def oracle_reduction(simplices):
+    """Diagram of (vertices, scale) pairs given in filtration order, by the
+    standard reduction of the whole boundary matrix with set columns."""
+    index_of = {vs: i for i, (vs, _) in enumerate(simplices)}
+    columns = [{index_of[vs[:k] + vs[k + 1:]] for k in range(len(vs))} if len(vs) > 1
+               else set() for vs, _ in simplices]
+    low_to_col = {}
+    for j, col in enumerate(columns):
+        while col and max(col) in low_to_col:
+            col ^= columns[low_to_col[max(col)]]
+        if col:
+            low_to_col[max(col)] = j
+    points, essential = {}, {}
+    for i, (vs, scale) in enumerate(simplices):
+        if columns[i]:
+            continue                       # i is a death column, not a birth
+        j = low_to_col.get(i)
+        if j is None:
+            essential.setdefault(len(vs) - 1, []).append(scale)
+        else:
+            points.setdefault(len(vs) - 1, []).append((scale, simplices[j][1]))
+    return PersistenceDiagram._build(
+        {d: np.array(p, dtype=np.float64) for d, p in points.items()},
+        {d: np.array(b, dtype=np.float64) for d, b in essential.items()})
+
+
 def oracle_betti_counts(filtration, alpha):
     """(betti0, betti1) of the <=1-skeleton at scale alpha via Euler counts."""
     verts = [s for s in filtration.simplices if s.dim == 0 and s.scale <= alpha]

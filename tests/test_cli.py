@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wtopo.cli import build_parser, main
+from wtopo.cli import _image_config, _load_graph, build_parser, main
 
 SIX_CYCLE = "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
 
@@ -115,6 +115,15 @@ def test_lone_range_flag_keeps_other_default(cycle_path, tmp_path, lone, other):
     alone = features(lone, "0,5")
     assert alone == features(lone, "0,5", other, "0,3")
     assert alone != features()
+
+
+@pytest.mark.parametrize("ranges", [[], ["--birth-range", "0,1", "--pers-range", "0,1"]])
+def test_essential_cap_ignores_explicit_ranges(tmp_path, ranges):
+    # LCC diameter 0.5: the default cap is max(0.5, 1) + 1, with or without ranges
+    path = tmp_path / "path.edges"
+    path.write_text("0 1 0.25\n1 2 0.25\n")
+    args = build_parser().parse_args(["global-features", "-i", str(path), *ranges])
+    assert _image_config(args, _load_graph(str(path))).cap_value == 2.0
 
 
 def test_local_features_csv_and_bin(cycle_path, tmp_path):

@@ -233,6 +233,24 @@ def test_adjacency_l1_weighted_variant():
     assert adjacency_l1_distance(g1, g2, weighted=True) == pytest.approx(2.5)
 
 
+def test_adjacency_l1_matches_edge_dict_oracle():
+    def oracle(g1, g2, weighted):
+        m1, m2 = g1.edge_weight_map(), g2.edge_weight_map()
+        if not weighted:
+            return float(len(set(m1) ^ set(m2)))
+        return sum(abs(m1.get(k, 0.0) - m2.get(k, 0.0)) for k in set(m1) | set(m2))
+
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        weighted = bool(rng.integers(0, 2))
+        g1 = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), weighted=weighted)
+        g2 = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)), weighted=weighted)
+        assert adjacency_l1_distance(g1, g2) == oracle(g1, g2, False)
+        assert adjacency_l1_distance(g1, g2, weighted=True) == pytest.approx(
+            oracle(g1, g2, True), rel=1e-12, abs=0.0)
+
+
 def test_adjacency_l1_size_mismatch():
     with pytest.raises(ValueError):
         adjacency_l1_distance(Graph.from_edges(2, [(0, 1)]),

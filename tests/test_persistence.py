@@ -4,15 +4,13 @@ import pytest
 from conftest import (betti_from_diagram, diagram_of, oracle_betti_counts,
                       oracle_bottleneck, oracle_wasserstein, random_connected_graph,
                       random_diagram, random_filtration)
-from wtopo import (REDUCTION, UNION_FIND, Filtration, Simplex, all_pairs,
+from wtopo import (REDUCTION, UNION_FIND, Filtration, all_pairs,
                    compute_persistence, diagram_distance, vr_filtration)
 from wtopo.persistence import PersistenceDiagram
 
 
 def filtration_from(simplices, max_dim=1, max_scale=np.inf):
-    sims = tuple(sorted((Simplex(tuple(v), float(s)) for v, s in simplices),
-                        key=lambda s: (s.scale, len(s.vertices), s.vertices)))
-    return Filtration(sims, max_dim, max_scale, "vr")
+    return Filtration.from_simplices(simplices, max_dim, max_scale, "vr")
 
 
 # ---------------------------------------------------------------------------
