@@ -9,6 +9,7 @@ downstream filtrations never create simplices across components.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -47,35 +48,39 @@ class Graph:
                    edges: Iterable[tuple] = (),
                    node_features: np.ndarray | None = None) -> "Graph":
         """Build a validated Graph from (u, v) or (u, v, w) tuples."""
+        edges = [(*e, 1.0) if len(e) == 2 else e for e in edges]
+        return cls._build(num_nodes, [(u, v) for u, v, _ in edges],
+                          [w for _, _, w in edges], node_features)
+
+    @classmethod
+    def _build(cls, num_nodes: int, pairs, weights,
+               node_features: np.ndarray | None = None) -> "Graph":
+        """The one validated constructor: (E, 2) node pairs in any order and
+        orientation and their (E,) weights. An error names the first offending
+        edge in input order, checked for self-loop, range, weight, duplicate."""
         if num_nodes < 1:
             raise ValidationError("graph needs at least one node")
-        pairs: dict[tuple[int, int], float] = {}
-        for e in edges:
-            if len(e) == 2:
-                u, v = e
-                w = 1.0
-            else:
-                u, v, w = e
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                raise ValidationError(f"self-loop at node {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u and v < num_nodes):
-                raise ValidationError(f"edge ({u}, {v}) outside [0, {num_nodes})")
-            if not (w > 0.0 and np.isfinite(w)):
-                raise ValidationError(f"edge ({u}, {v}) has non-positive weight {w}")
-            if (u, v) in pairs:
-                raise ValidationError(f"duplicate edge ({u}, {v})")
-            pairs[(u, v)] = w
-        keys = sorted(pairs)
-        edge_array = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
-        weights = np.array([pairs[k] for k in keys], dtype=np.float64)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        weights = np.asarray(weights, dtype=np.float64)
+        u, v = np.minimum(*pairs), np.maximum(*pairs)
+        order = np.lexsort((v, u))              # stable: equal pairs keep input order
+        su, sv = u[order], v[order]
+        repeat = np.zeros(order.size, dtype=bool)
+        repeat[order[1:]] = (su[1:] == su[:-1]) & (sv[1:] == sv[:-1])
+        bad = np.stack([u == v, (u < 0) | (v >= num_nodes),
+                        ~(np.isfinite(weights) & (weights > 0.0)), repeat])
+        if bad.any():
+            i = int(np.flatnonzero(bad.any(axis=0))[0])
+            u, v, w = u[i], v[i], float(weights[i])
+            raise ValidationError((f"self-loop at node {u}",
+                                   f"edge ({u}, {v}) outside [0, {num_nodes})",
+                                   f"edge ({u}, {v}) has non-positive weight {w}",
+                                   f"duplicate edge ({u}, {v})")[np.argmax(bad[:, i])])
         if node_features is not None:
             node_features = np.asarray(node_features, dtype=np.float64)
             if node_features.ndim != 2 or node_features.shape[0] != num_nodes:
                 raise ValidationError("node_features must be an N x F matrix")
-        return cls(num_nodes, edge_array, weights, node_features)
+        return cls(num_nodes, np.column_stack([su, sv]), weights[order], node_features)
 
     @property
     def num_edges(self) -> int:
@@ -87,11 +92,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.num_edges:
-            np.add.at(deg, self.edge_array[:, 0], 1)
-            np.add.at(deg, self.edge_array[:, 1], 1)
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.num_nodes)
 
     @cached_property
     def _csr(self) -> csr_matrix:
@@ -101,9 +102,7 @@ class Graph:
         tails = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
         wts = np.concatenate([self.weights, self.weights])
         order = np.lexsort((tails, heads))
-        indptr = np.zeros(n + 1, np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        indptr = np.concatenate([[0], np.cumsum(self.degrees)])
         return csr_matrix((wts[order], tails[order], indptr), shape=(n, n))
 
     @cached_property
@@ -114,10 +113,6 @@ class Graph:
         rank = np.empty_like(first)
         rank[np.argsort(first)] = np.arange(first.size)
         return rank[labels]
-
-    def edge_weight_map(self) -> dict[tuple[int, int], float]:
-        return {(int(u), int(v)): float(w)
-                for (u, v), w in zip(self.edge_array, self.weights)}
 
     def to_edge_list(self, fp: IO[str]) -> None:
         """Write the edge-list text format ("u v" or "u v w" per line)."""
@@ -164,8 +159,8 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
     real w > 0; '#'-prefixed lines and blank lines are ignored. The node count
     is 1 + the largest node id seen.
     """
-    edges: list[tuple[int, int, float]] = []
-    max_id = 0
+    ids: list[int] = []
+    weights: list[float] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -187,12 +182,11 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
             raise ValidationError(f"line {lineno}: negative node id")
         if u == v:
             raise ValidationError(f"line {lineno}: self-loop at node {u}")
-        if not (w > 0.0 and np.isfinite(w)):
+        if not 0.0 < w < math.inf:
             raise ValidationError(f"line {lineno}: non-positive weight {w}")
-        key = (min(u, v), max(u, v))
-        edges.append((key[0], key[1], w))
-        max_id = max(max_id, v, u)
-    return Graph.from_edges(max_id + 1, edges)
+        ids += (u, v)
+        weights.append(w)
+    return Graph._build(max(ids, default=0) + 1, ids, weights)
 
 
 def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> Graph:
@@ -208,24 +202,22 @@ def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> G
     n = x.shape[0]
     if not (1 <= k < n):
         raise ValueError(f"k must satisfy 1 <= k < N, got k={k}, N={n}")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"non-finite features in row {np.argmin(finite)}")
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise ValidationError("zero-norm feature row")
     cosine = 1.0 - (x @ x.T) / np.outer(norms, norms)
-    pairs: dict[tuple[int, int], float] = {}
-    ids = np.arange(n)
-    for u in range(n):
-        row = cosine[u].copy()
-        row[u] = np.inf                      # never its own neighbour
-        order = np.lexsort((ids, row))       # distance asc, then index asc
-        for v in order[:k]:
-            v = int(v)
-            key = (min(u, v), max(u, v))
-            if key not in pairs:
-                d = float(cosine[u, v])
-                pairs[key] = d if d > 0.0 else zero_floor
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in pairs.items()],
-                            node_features=x)
+    np.fill_diagonal(cosine, np.inf)                       # never its own neighbour
+    # distance asc, then index asc; pairs listed in (u, rank) order
+    v = np.argsort(cosine, axis=1, kind="stable")[:, :k].ravel()
+    u = np.repeat(np.arange(n), k)
+    d = cosine[u, v]
+    pairs = np.sort(np.column_stack([u, v]), axis=1)
+    _, first = np.unique(_pair_keys(pairs, n), return_index=True)   # first occurrence wins
+    return Graph._build(n, pairs[first], np.where(d[first] > 0.0, d[first], zero_floor),
+                        node_features=x)
 
 
 def geodesics(g: Graph, sources: Sequence[int], method: str = "auto") -> DistanceMatrix:
@@ -341,6 +333,12 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     return sub, old_to_new
 
 
+def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key u * n + v per (u, v) row with 0 <= u, v < n; sorting the
+    keys sorts the rows lexicographically."""
+    return pairs[:, 0] * n + pairs[:, 1]
+
+
 def adjacency_l1_distance(g1: Graph, g2: Graph, weighted: bool = False) -> float:
     """Number of undirected pairs whose adjacency differs (one flip counts 1).
 
@@ -349,8 +347,8 @@ def adjacency_l1_distance(g1: Graph, g2: Graph, weighted: bool = False) -> float
     """
     if g1.num_nodes != g2.num_nodes:
         raise ValueError("graphs must have the same number of nodes")
-    # one key u * n + v per edge; edge_array is sorted and unique, so are they
-    k1, k2 = (g.edge_array[:, 0] * g.num_nodes + g.edge_array[:, 1] for g in (g1, g2))
+    # edge_array is sorted and unique, so are its keys
+    k1, k2 = (_pair_keys(g.edge_array, g.num_nodes) for g in (g1, g2))
     if not weighted:
         return float(np.setxor1d(k1, k2, assume_unique=True).size)
     keys = np.union1d(k1, k2)

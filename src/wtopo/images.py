@@ -24,7 +24,7 @@ class PIConfig:
     center times the cell area. ``essential_policy`` is either "drop" or
     "cap"; capping turns an essential birth b into the point (b, cap_value -
     b). A ``cap_value`` of None is resolved by the graph pipelines to
-    (diameter of the largest connected component) + 1.
+    max(diameter of the largest connected component, 1) + 1.
     """
 
     grid_resolution: int
@@ -71,22 +71,24 @@ def stability_constant(sigma: float) -> float:
     return math.sqrt(5.0) + math.sqrt(10.0 / math.pi) / sigma
 
 
-def _lcc_diameter(g: Graph) -> float:
+def _extent(g: Graph) -> float:
+    """max(LCC diameter, 1): the default grid extent; the default cap is one above."""
     lcc, _ = largest_connected_component(g)
-    return diameter(lcc)
+    return max(diameter(lcc), 1.0)
 
 
 def resolve_config(cfg: PIConfig, g: Graph) -> PIConfig:
-    """Fill cap_value from the graph when unset (LCC diameter + 1)."""
+    """Fill cap_value from the graph when unset (max(LCC diameter, 1) + 1)."""
     if cfg.essential_policy == CAP and cfg.cap_value is None:
-        return replace(cfg, cap_value=_lcc_diameter(g) + 1.0)
+        return replace(cfg, cap_value=_extent(g) + 1.0)
     return cfg
 
 
 def default_config(g: Graph, grid_resolution: int = 10, sigma: float = 1.0,
                    essential_policy: str = CAP) -> PIConfig:
-    """Grid over [0, diam] x [0, diam] of the LCC, cap at diam + 1."""
-    diam = max(_lcc_diameter(g), 1.0)
+    """Grid over [0, diam] x [0, diam] of the LCC, diam = max(LCC diameter, 1),
+    cap at diam + 1."""
+    diam = _extent(g)
     return PIConfig(
         grid_resolution=grid_resolution,
         birth_range=(0.0, diam),

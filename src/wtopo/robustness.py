@@ -9,7 +9,7 @@ import numpy as np
 
 from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
                         topo_loss)
-from .graph import Graph, adjacency_l1_distance
+from .graph import Graph, _pair_keys, adjacency_l1_distance
 from .images import CAP, PIConfig, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import PersistenceDiagram, diagram_distance
@@ -115,15 +115,12 @@ def perturb(g: Graph, spec: PerturbSpec,
         pick = rng.choice(total, size=spec.budget, replace=False)
         chosen = _decode_targeted_pairs(np.sort(pick), starts, marks)
 
-    pairs = g.edge_weight_map()
-    for u, v in chosen:
-        key = (int(u), int(v))
-        if key in pairs:
-            del pairs[key]
-        else:
-            pairs[key] = 1.0
-    return Graph.from_edges(n, [(u, v, w) for (u, v), w in pairs.items()],
-                            node_features=g.node_features)
+    keys, flips = _pair_keys(g.edge_array, n), _pair_keys(chosen, n)
+    kept = ~np.isin(keys, flips, assume_unique=True)
+    added = chosen[~np.isin(flips, keys, assume_unique=True)]
+    return Graph._build(n, np.concatenate([g.edge_array[kept], added]),
+                        np.concatenate([g.weights[kept], np.ones(len(added))]),
+                        g.node_features)
 
 
 def _capped(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:

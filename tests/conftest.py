@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from wtopo import Graph
+from wtopo import Graph, ValidationError
 from wtopo.persistence import PersistenceDiagram
 
 
@@ -60,6 +60,11 @@ def random_diagram(rng, max_points=8, birth_hi=0.8, pers_hi=1.0, dim=0):
     return PersistenceDiagram._build({dim: pts}, {})
 
 
+def edge_dict(g):
+    """{(u, v): w} for every edge of ``g``, u < v."""
+    return {(int(u), int(v)): float(w) for (u, v), w in zip(g.edge_array, g.weights)}
+
+
 def diagram_of(points, essential=(), dim=0):
     return PersistenceDiagram._build(
         {dim: np.asarray(points, dtype=np.float64).reshape(-1, 2)},
@@ -69,6 +74,95 @@ def diagram_of(points, essential=(), dim=0):
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
+
+def oracle_from_edges(num_nodes, edges=(), node_features=None):
+    """Graph.from_edges as a per-edge loop over a dict of edges."""
+    if num_nodes < 1:
+        raise ValidationError("graph needs at least one node")
+    pairs = {}
+    for e in edges:
+        if len(e) == 2:
+            u, v = e
+            w = 1.0
+        else:
+            u, v, w = e
+        u, v, w = int(u), int(v), float(w)
+        if u == v:
+            raise ValidationError(f"self-loop at node {u}")
+        if u > v:
+            u, v = v, u
+        if not (0 <= u and v < num_nodes):
+            raise ValidationError(f"edge ({u}, {v}) outside [0, {num_nodes})")
+        if not (w > 0.0 and np.isfinite(w)):
+            raise ValidationError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if (u, v) in pairs:
+            raise ValidationError(f"duplicate edge ({u}, {v})")
+        pairs[(u, v)] = w
+    keys = sorted(pairs)
+    edge_array = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+    weights = np.array([pairs[k] for k in keys], dtype=np.float64)
+    if node_features is not None:
+        node_features = np.asarray(node_features, dtype=np.float64)
+        if node_features.ndim != 2 or node_features.shape[0] != num_nodes:
+            raise ValidationError("node_features must be an N x F matrix")
+    return Graph(num_nodes, edge_array, weights, node_features)
+
+
+def oracle_perturb(g, spec, landmarks=None):
+    """robustness.perturb with the flips applied to a dict of edges."""
+    from wtopo.robustness import (RANDOM, _decode_pairs, _decode_targeted_pairs,
+                                  _targeted_offsets)
+
+    n = g.num_nodes
+    rng = np.random.default_rng(spec.seed)
+    if spec.mode == RANDOM:
+        capacity = n * (n - 1) // 2
+        if spec.budget > capacity:
+            raise ValueError(f"budget {spec.budget} exceeds {capacity} candidate pairs")
+        chosen = _decode_pairs(np.sort(rng.choice(capacity, size=spec.budget,
+                                                  replace=False)), n) \
+            if spec.budget else np.empty((0, 2), dtype=np.int64)
+    else:
+        if landmarks is None:
+            raise ValueError("landmark-targeted mode needs the landmark set")
+        marks = np.unique(np.asarray(landmarks, dtype=np.int64))
+        starts, total = _targeted_offsets(marks, n)
+        if spec.budget > total:
+            raise ValueError(f"budget {spec.budget} exceeds {total} candidate pairs")
+        pick = rng.choice(total, size=spec.budget, replace=False)
+        chosen = _decode_targeted_pairs(np.sort(pick), starts, marks)
+    pairs = edge_dict(g)
+    for u, v in chosen:
+        key = (int(u), int(v))
+        if key in pairs:
+            del pairs[key]
+        else:
+            pairs[key] = 1.0
+    return oracle_from_edges(n, [(u, v, w) for (u, v), w in pairs.items()],
+                             node_features=g.node_features)
+
+
+def oracle_build_knn_graph(features, k, zero_floor=1e-9):
+    """graph.build_knn_graph with one lexsort per row and a dict of pairs."""
+    x = np.asarray(features, dtype=np.float64)
+    n = x.shape[0]
+    norms = np.linalg.norm(x, axis=1)
+    cosine = 1.0 - (x @ x.T) / np.outer(norms, norms)
+    pairs = {}
+    ids = np.arange(n)
+    for u in range(n):
+        row = cosine[u].copy()
+        row[u] = np.inf                      # never its own neighbour
+        order = np.lexsort((ids, row))       # distance asc, then index asc
+        for v in order[:k]:
+            v = int(v)
+            key = (min(u, v), max(u, v))
+            if key not in pairs:
+                d = float(cosine[u, v])
+                pairs[key] = d if d > 0.0 else zero_floor
+    return oracle_from_edges(n, [(u, v, w) for (u, v), w in pairs.items()],
+                             node_features=x)
+
 
 def oracle_witness_edge_scales(witness_dists, nu):
     """Plain-python lazy-witness edge scales (independent of the kernels)."""

@@ -3,11 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import (edge_dict, oracle_build_knn_graph, oracle_from_edges,
+                      oracle_perturb, random_graph)
 from wtopo import (Graph, GraphParseError, ValidationError,
                    adjacency_l1_distance, all_pairs, build_knn_graph,
                    geodesics, largest_connected_component, load_edge_list)
 from wtopo.graph import induced_subgraphs
+from wtopo.robustness import LANDMARK_TARGETED, RANDOM, PerturbSpec, perturb
 
 
 def test_load_edge_list_basic():
@@ -235,7 +237,7 @@ def test_adjacency_l1_weighted_variant():
 
 def test_adjacency_l1_matches_edge_dict_oracle():
     def oracle(g1, g2, weighted):
-        m1, m2 = g1.edge_weight_map(), g2.edge_weight_map()
+        m1, m2 = edge_dict(g1), edge_dict(g2)
         if not weighted:
             return float(len(set(m1) ^ set(m2)))
         return sum(abs(m1.get(k, 0.0) - m2.get(k, 0.0)) for k in set(m1) | set(m2))
@@ -259,7 +261,7 @@ def test_adjacency_l1_size_mismatch():
 
 def test_knn_identical_vectors_floored_weight():
     g = build_knn_graph(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), k=1)
-    weights = g.edge_weight_map()
+    weights = edge_dict(g)
     assert weights[(0, 1)] == 1e-9
     # node 2 is equidistant from 0 and 1; tie goes to the lower index
     assert (0, 2) in weights and weights[(0, 2)] == pytest.approx(1.0)
@@ -268,7 +270,7 @@ def test_knn_identical_vectors_floored_weight():
 
 def test_knn_orthogonal_vectors():
     g = build_knn_graph(np.array([[1.0, 0.0], [0.0, 1.0]]), k=1)
-    assert g.edge_weight_map() == {(0, 1): pytest.approx(1.0)}
+    assert edge_dict(g) == {(0, 1): pytest.approx(1.0)}
 
 
 def test_knn_matches_exhaustive_oracle():
@@ -282,7 +284,7 @@ def test_knn_matches_exhaustive_oracle():
         order = sorted((cos[u, v], v) for v in range(5) if v != u)
         for _, v in order[:2]:
             expected.add((min(u, v), max(u, v)))
-    assert set(g.edge_weight_map()) == expected
+    assert set(edge_dict(g)) == expected
     assert g.degrees.min() >= 2
 
 
@@ -312,3 +314,88 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 1, float("inf"))])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 5)])
+
+
+def test_knn_rejects_non_finite_features():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 1.0], [1.0, np.inf]])
+    with pytest.raises(ValidationError, match=r"non-finite features in row 2"):
+        build_knn_graph(x, k=1)
+
+
+def test_from_edges_ids_beyond_squared_key_range():
+    n = 2 ** 40
+    g = Graph.from_edges(n, [(n - 1, 0), (1, 5)])
+    assert g.edge_array.tolist() == [[0, n - 1], [1, 5]]
+    with pytest.raises(ValidationError, match=rf"^duplicate edge \(0, {n - 1}\)$"):
+        Graph.from_edges(n, [(0, n - 1), (1, 5), (n - 1, 0)])
+
+
+def _outcome(build, *args, **kwargs):
+    """The exception's type and message, or the built graph's arrays as bytes."""
+    try:
+        g = build(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = (g.edge_array, g.weights) + (() if g.node_features is None
+                                          else (g.node_features,))
+    return g.num_nodes, [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _fuzz_edge(rng, n, edges):
+    """A mostly valid 2- or 3-tuple; sometimes a self-loop, an id out of
+    range, a bad weight, or an earlier pair in either orientation."""
+    u = int(rng.integers(0, max(n, 1)))
+    v = (u + 1 + int(rng.integers(0, max(n - 1, 1)))) % max(n, 2)
+    kind = rng.integers(0, 40)
+    if kind == 0:
+        v = u
+    elif kind == 1:
+        u = int(rng.choice([-1, -3, n, n + 2]))
+    elif kind in (2, 3) and edges:
+        u, v = edges[rng.integers(len(edges))][:2]
+        if kind == 3:
+            u, v = v, u
+    if kind == 4:
+        return (u, v, float(rng.choice([0.0, -1.5, np.inf, -np.inf, np.nan])))
+    if rng.random() < 0.5:
+        return (u, v)
+    return (u, v, float(rng.choice([1.0, 0.25, 2.5, 1e-9])))
+
+
+def test_graph_builders_match_dict_oracles():
+    rng = np.random.default_rng(66)
+    for _ in range(800):
+        n = int(rng.integers(0, 13))
+        edges = []
+        for _ in range(int(rng.integers(0, 14))):
+            edges.append(_fuzz_edge(rng, n, edges))
+        feats = (None, rng.normal(size=(max(n, 1), 2)), np.zeros((n + 1, 2)))[rng.integers(0, 3)]
+        assert _outcome(Graph.from_edges, n, edges, feats) == \
+            _outcome(oracle_from_edges, n, edges, feats)
+        # edge lists whose lines each pass the line checks
+        if all(min(e[:2]) >= 0 and e[0] != e[1] and
+               (len(e) == 2 or 0.0 < e[2] < np.inf) for e in edges):
+            text = "".join(" ".join(map(repr, e)) + "\n" for e in edges)
+            top = max((max(e[:2]) for e in edges), default=0)
+            assert _outcome(load_edge_list, io.StringIO(text)) == \
+                _outcome(oracle_from_edges, top + 1, edges)
+
+    for _ in range(300):
+        n = int(rng.integers(1, 30))
+        g = random_graph(rng, n, p=float(rng.uniform(0.0, 0.5)),
+                         weighted=bool(rng.integers(0, 2)))
+        if rng.integers(0, 2):
+            g = Graph(n, g.edge_array, g.weights, rng.normal(size=(n, 3)))
+        mode = (RANDOM, LANDMARK_TARGETED)[rng.integers(0, 2)]
+        marks = np.unique(rng.integers(0, n, size=int(rng.integers(1, 4))))
+        spec = PerturbSpec(budget=int(rng.integers(0, 2 * n)), mode=mode,
+                           seed=int(rng.integers(0, 100)))
+        assert _outcome(perturb, g, spec, marks) == _outcome(oracle_perturb, g, spec, marks)
+
+    for _ in range(150):
+        n = int(rng.integers(2, 20))
+        x = rng.integers(-2, 3, size=(n, int(rng.integers(1, 4)))).astype(float)
+        x[rng.integers(0, n, size=n // 3)] = x[0]            # repeated rows tie
+        x[~x.any(axis=1), 0] = 1.0
+        k = int(rng.integers(1, n))
+        assert _outcome(build_knn_graph, x, k) == _outcome(oracle_build_knn_graph, x, k)

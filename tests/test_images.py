@@ -159,3 +159,12 @@ def test_flatten_row_major():
     for i in range(3):
         for j in range(3):
             assert flat[i * 3 + j] == img.pixels[i, j]
+
+
+def test_resolved_cap_matches_default_config_below_unit_diameter():
+    from wtopo import Graph
+    from wtopo.images import default_config, resolve_config
+
+    g = Graph.from_edges(3, [(0, 1, 0.25), (1, 2, 0.25)])     # LCC diameter 0.5
+    cap = resolve_config(PIConfig(10, (0, 1), (0, 1)), g).cap_value
+    assert cap == default_config(g).cap_value == 2.0

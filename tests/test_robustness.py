@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_graph
+from conftest import edge_dict, random_connected_graph, random_graph
 from wtopo import (Graph, PerturbSpec, TopoLossConfig, adjacency_l1_distance,
                    default_config, perturb, select_landmarks, stability_sweep)
 from wtopo.robustness import LANDMARK_TARGETED, REPORT_COLUMNS
@@ -71,8 +71,8 @@ def test_perturb_landmark_targeted_touches_landmarks():
     marks = select_landmarks(g, 0.2).landmarks
     g2 = perturb(g, PerturbSpec(budget=6, mode=LANDMARK_TARGETED, seed=5),
                  landmarks=marks)
-    before = g.edge_weight_map()
-    after = g2.edge_weight_map()
+    before = edge_dict(g)
+    after = edge_dict(g2)
     flipped = set(before) ^ set(after)
     assert len(flipped) == 6
     assert all(u in marks or v in marks for u, v in flipped)
@@ -98,7 +98,7 @@ def test_perturb_landmark_targeted_matches_candidate_list_oracle():
         pick = np.random.default_rng(9).choice(total, size=budget, replace=False)
         g2 = perturb(g, PerturbSpec(budget=budget, mode=LANDMARK_TARGETED, seed=9),
                      landmarks=marks)
-        flipped = set(g.edge_weight_map()) ^ set(g2.edge_weight_map())
+        flipped = set(edge_dict(g)) ^ set(edge_dict(g2))
         assert flipped == {cand[i] for i in pick}
 
 
