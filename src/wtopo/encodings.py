@@ -16,7 +16,7 @@ from typing import IO
 import numpy as np
 
 from .complexes import witness_filtration
-from .graph import DistanceMatrix, Graph, geodesics, induced_subgraphs
+from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
@@ -71,24 +71,33 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _witness_diagram(rows: DistanceMatrix, max_dim: int, max_scale: float,
-                     nu: int, dimension: int) -> PersistenceDiagram:
-    """Lazy-witness diagram over the sources of ``rows``, every node a witness."""
-    filt = witness_filtration(rows.between_sources, rows.dists.T, max_dim,
-                              max_scale, nu=nu)
+def _witness_diagram(land_dists: np.ndarray, witness_dists: np.ndarray, max_dim: int,
+                     max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
+    filt = witness_filtration(land_dists, witness_dists, max_dim, max_scale, nu=nu)
     return compute_persistence(filt, UNION_FIND if dimension == 0 else REDUCTION)
 
 
 def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
                         dimension: int = 0,
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
-    """Lazy-witness diagram of the induced subgraph of every cover cell."""
-    subgraphs = induced_subgraphs(g, cover.cell_of)
-    diagrams = {}
+    """Lazy-witness diagram of the induced subgraph of every cover cell.
+
+    The cells partition the nodes, so cutting every edge between two cells
+    leaves each cell's induced subgraph as one block of the graph. One
+    geodesics pass over that cut, from every cell's local landmarks, gives
+    each cell's rows; Dijkstra distances do not depend on node labels, so
+    they equal the rows of the cell's subgraph bit for bit.
+    """
+    ends = cover.cell_of[g.edge_array]
+    same = ends[:, 0] == ends[:, 1]
+    cut = Graph(g.num_nodes, g.edge_array[same], g.weights[same])
+    rows = geodesics(cut, np.concatenate(list(cover.local_landmarks.values()))).dists
+    diagrams, start = {}, 0
     for l, marks in cover.local_landmarks.items():
-        sub, members = subgraphs[l]
-        rows = geodesics(sub, np.searchsorted(members, marks))
-        diagrams[l] = _witness_diagram(rows, max_dim, max_scale, nu, dimension)
+        block = rows[start:start + len(marks)]
+        start += len(marks)
+        diagrams[l] = _witness_diagram(block[:, marks], block[:, cover.cells[l]].T,
+                                       max_dim, max_scale, nu, dimension)
     return diagrams
 
 
@@ -126,7 +135,8 @@ def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
     cover is built from ``fraction`` when not given."""
     if cover is None:
         cover = build_cover(g, select_landmarks(g, fraction))
-    return _witness_diagram(cover.rows, max_dim, max_scale, nu, dimension)
+    return _witness_diagram(cover.rows.between_sources, cover.rows.dists.T, max_dim,
+                            max_scale, nu, dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

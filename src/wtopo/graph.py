@@ -205,10 +205,13 @@ def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> G
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValidationError(f"non-finite features in row {np.argmin(finite)}")
-    norms = np.linalg.norm(x, axis=1)
+    # scaling a row by a power of two is exact and leaves its cosines as they
+    # are; scaled to a largest entry in [0.5, 1), no norm over- or underflows
+    unit = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, initial=0.0))[1][:, None])
+    norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):
         raise ValidationError("zero-norm feature row")
-    cosine = 1.0 - (x @ x.T) / np.outer(norms, norms)
+    cosine = 1.0 - (unit @ unit.T) / np.outer(norms, norms)
     np.fill_diagonal(cosine, np.inf)                       # never its own neighbour
     # distance asc, then index asc; pairs listed in (u, rank) order
     v = np.argsort(cosine, axis=1, kind="stable")[:, :k].ravel()
@@ -293,32 +296,6 @@ def connected_components(g: Graph) -> list[list[int]]:
     return [comp.tolist() for comp in np.split(order, bounds)]
 
 
-def induced_subgraphs(g: Graph, labels: np.ndarray) -> dict[int, tuple[Graph, np.ndarray]]:
-    """Induced subgraph of every class of ``labels`` (one label per node).
-
-    Returns {label: (subgraph, members)} in ascending label order; ``members``
-    holds the class's node ids ascending and subgraph node i is members[i].
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (g.num_nodes,):
-        raise ValueError("labels must hold one entry per node")
-    order = np.argsort(labels, kind="stable")                 # ids ascend in a class
-    keys, starts = np.unique(labels[order], return_index=True)
-    u_label, v_label = labels[g.edge_array].T
-    inner = np.flatnonzero(u_label == v_label)
-    inner = inner[np.argsort(u_label[inner], kind="stable")]  # keeps (u, v) order
-    edge_parts = np.split(inner, np.searchsorted(u_label[inner], keys[1:]))
-    old_to_new = np.empty(g.num_nodes, dtype=np.int64)
-    out = {}
-    for key, members, e in zip(keys.tolist(), np.split(order, starts[1:]), edge_parts):
-        # increasing on the class, so relabeled edges stay sorted with u < v
-        old_to_new[members] = np.arange(members.size)
-        feats = g.node_features[members] if g.node_features is not None else None
-        sub = Graph(int(members.size), old_to_new[g.edge_array[e]], g.weights[e], feats)
-        out[key] = (sub, members)
-    return out
-
-
 def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     """Induced subgraph on the largest component, nodes relabeled contiguously.
 
@@ -327,9 +304,14 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     new index of node i or -1 if i was dropped.
     """
     labels = g._component_labels
-    sub, best = induced_subgraphs(g, labels == np.argmax(np.bincount(labels)))[True]
+    best = np.argmax(np.bincount(labels))
+    keep = np.flatnonzero(labels == best)
     old_to_new = np.full(g.num_nodes, -1, dtype=np.int64)
-    old_to_new[best] = np.arange(best.size)
+    old_to_new[keep] = np.arange(keep.size)
+    inner = labels[g.edge_array[:, 0]] == best        # both ends share a component
+    # increasing on the component, so relabeled edges stay sorted with u < v
+    feats = g.node_features[keep] if g.node_features is not None else None
+    sub = Graph(int(keep.size), old_to_new[g.edge_array[inner]], g.weights[inner], feats)
     return sub, old_to_new
 
 

@@ -1,4 +1,4 @@
-"""Persistence diagrams (union-find and matrix-reduction algorithms) and
+"""Persistence diagrams (spanning-forest H0 and matrix reduction) and
 matching-based diagram distances (bottleneck, p-Wasserstein)."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csgraph, csr_matrix
 
 from .complexes import Filtration
 
@@ -62,9 +63,13 @@ class PersistenceDiagram:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "PersistenceDiagram":
+        if not isinstance(obj, list):
+            raise ValueError("a diagram must be a JSON list of per-dimension objects")
         points, essential = {}, {}
         for entry in obj:
-            d = int(entry["dim"])
+            if not isinstance(entry, dict) or type(entry.get("dim")) is not int:
+                raise ValueError("each diagram entry must be an object with an integer 'dim'")
+            d = entry["dim"]
             pts = np.asarray(entry.get("points", []), dtype=np.float64).reshape(-1, 2)
             ess = np.asarray(entry.get("essential", []), dtype=np.float64)
             if pts.size:
@@ -88,52 +93,20 @@ class PersistenceDiagram:
         return cls(pts, ess)
 
 
-def _h0_merge(vert_scales: list[float], vert_rank: list[int], edge_u: list[int],
-              edge_v: list[int], edge_scales: list[float]):
-    """Kruskal-style merge events over edges given in filtration order.
-
-    Elder rule: the component with smaller (birth scale, vertex rank) survives.
-    The younger root is re-parented onto the elder, so every root is its
-    component's oldest vertex. Returns (births, deaths, roots) with one
-    birth/death per merge and the surviving roots.
-    """
-    parent = list(range(len(vert_scales)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    births, deaths = [], []
-    for u, v, scale in zip(edge_u, edge_v, edge_scales):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if (vert_scales[ru], vert_rank[ru]) < (vert_scales[rv], vert_rank[rv]):
-            elder, younger = ru, rv
-        else:
-            elder, younger = rv, ru
-        births.append(vert_scales[younger])
-        deaths.append(scale)
-        parent[younger] = elder
-    roots = [v for v in range(len(parent)) if parent[v] == v]
-    return births, deaths, roots
-
-
-def _union_find_h0(f: Filtration) -> PersistenceDiagram:
-    vert_scales = f.scales[0].tolist()
-    if not vert_scales:
-        return PersistenceDiagram()
-    edge_u, edge_v, edge_scales = [], [], []
-    if len(f.scales) > 1:
-        edge_v, edge_u = f.facets(1).T.tolist()
-        edge_scales = f.scales[1].tolist()
-    births, deaths, roots = _h0_merge(vert_scales, list(range(len(vert_scales))),
-                                      edge_u, edge_v, edge_scales)
-    essential = np.array(sorted(vert_scales[r] for r in roots), dtype=np.float64)
-    pts = np.column_stack([births, deaths]) if births else _EMPTY_POINTS
-    return PersistenceDiagram._build({0: pts}, {0: essential})
+def _forest_h0(f: Filtration) -> PersistenceDiagram:
+    """H0 of a filtration whose vertices all enter at 0: one point (0, w) per
+    spanning-forest edge of scale w, one essential 0 per component (Kruskal
+    with the elder rule). Edges are weighted by their filtration rank 1..m, so
+    the forest follows the filtration order, ties included, and no weight is
+    the 0 that csgraph would read as a missing edge."""
+    n, deaths = f.scales[0].size, _EMPTY_BIRTHS
+    if f.max_dim and f.scales[1].size:      # most Voronoi cells hold one landmark
+        ranks = np.arange(1, f.scales[1].size + 1, dtype=np.float64)
+        tree = csgraph.minimum_spanning_tree(
+            csr_matrix((ranks, f.vertices[1].T), shape=(n, n)))
+        deaths = f.scales[1][tree.data.astype(np.int64) - 1]
+    return PersistenceDiagram._build({0: np.column_stack([np.zeros_like(deaths), deaths])},
+                                     {0: np.zeros(n - deaths.size)})
 
 
 def _reduce(columns: list[int], rows: int) -> list[int]:
@@ -183,17 +156,21 @@ def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
                         homology_dims: tuple[int, ...] | None = None) -> PersistenceDiagram:
     """Persistence diagram of a filtration.
 
-    ``union-find`` runs Kruskal-style component merging and is valid for
-    dimension-0 output only; ``reduction`` runs the standard boundary-matrix
-    column reduction in filtration order, one dimension at a time on bitset
-    columns (O(len(f)^3) worst case), and yields every dimension present. Both use the elder rule with ties broken toward
-    the lower vertex index and emit one essential dimension-0 point per
-    connected component of the final complex.
+    ``union-find`` is valid for dimension-0 output only. When every vertex
+    enters at 0 it reads H0 off one minimum spanning forest of the edges in
+    filtration order; otherwise (only ``Filtration.from_simplices`` can give a
+    vertex a nonzero entry scale) it runs the reduction and keeps dimension 0.
+    ``reduction`` runs the standard boundary-matrix column reduction in
+    filtration order, one dimension at a time on bitset columns (O(len(f)^3)
+    worst case), and yields every dimension present. Both follow the elder
+    rule with ties broken toward the lower vertex index and emit one essential
+    dimension-0 point per connected component of the final complex.
     """
     if algorithm == UNION_FIND:
         if homology_dims is not None and any(d > 0 for d in homology_dims):
             raise ValueError("union-find computes dimension-0 persistence only")
-        diagram = _union_find_h0(f)
+        homology_dims = (0,) if homology_dims is None else homology_dims
+        diagram = _reduction(f) if f.scales[0].any() else _forest_h0(f)
     elif algorithm == REDUCTION:
         diagram = _reduction(f)
     else:

@@ -164,6 +164,27 @@ def oracle_build_knn_graph(features, k, zero_floor=1e-9):
                              node_features=x)
 
 
+def oracle_local_cell_diagrams(g, cover, max_dim, nu, dimension, max_scale):
+    """encodings.local_cell_diagrams as one induced subgraph and one geodesics
+    call per cell, the subgraph cut by filtering the whole edge list. Dimension
+    0 goes through the reduction, so no code is shared with the spanning forest."""
+    from wtopo import compute_persistence, geodesics, witness_filtration
+    from wtopo.persistence import REDUCTION
+
+    diagrams = {}
+    for l, members in cover.cells.items():
+        index = {v: i for i, v in enumerate(members)}
+        sub = Graph.from_edges(len(members), [
+            (index[u], index[v], w) for (u, v), w in edge_dict(g).items()
+            if u in index and v in index])
+        rows = geodesics(sub, [index[v] for v in cover.local_landmarks[l]])
+        filt = witness_filtration(rows.between_sources, rows.dists.T, max_dim,
+                                  max_scale, nu=nu)
+        diagrams[l] = compute_persistence(filt, REDUCTION,
+                                          homology_dims=(0,) if dimension == 0 else None)
+    return diagrams
+
+
 def oracle_witness_edge_scales(witness_dists, nu):
     """Plain-python lazy-witness edge scales (independent of the kernels)."""
     wd = np.asarray(witness_dists, dtype=float)

@@ -86,6 +86,20 @@ def test_image_command(tmp_path, capsys):
     assert float(rows[0][0]) == pytest.approx(0.09119730927967717)
 
 
+@pytest.mark.parametrize("command", [["loss"], ["distance", "{0}"],
+                                     ["image", "--birth-range", "0,2", "--pers-range", "0,2"]])
+@pytest.mark.parametrize("obj", [[{"points": [[0, 1]]}], {"dim": 0}, [[0, 1]],
+                                 [{"dim": "0"}]])
+def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, obj):
+    djson = tmp_path / "d.json"
+    djson.write_text(json.dumps(obj))
+    name, *rest = command
+    argv = [name, "-i", str(djson), *(a.format(djson) for a in rest)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wtopo: error:") and err.count("\n") == 1
+
+
 def test_image_requires_ranges(tmp_path, capsys):
     djson = tmp_path / "d.json"
     djson.write_text("[]")

@@ -3,9 +3,11 @@ import io
 import numpy as np
 import pytest
 
-from conftest import diagram_of, random_connected_graph, random_diagram
-from wtopo import (Graph, PIConfig, TopoLossConfig, all_pairs, build_cover,
-                   compute_persistence, diameter, geodesics, global_diagram,
+from conftest import (diagram_of, oracle_local_cell_diagrams, random_connected_graph,
+                      random_diagram)
+from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
+                   build_cover, compute_persistence, connected_components,
+                   diameter, geodesics, global_diagram,
                    global_encoding, local_cell_diagrams, local_encoding,
                    persistence_image, select_landmarks, topo_loss,
                    topo_loss_grad, vr_filtration, witness_filtration)
@@ -71,6 +73,35 @@ def test_local_matches_staged_pipeline():
         img = persistence_image(diag, cfg, 0)
         expected[list(members)] = img.flatten()
     assert np.array_equal(feats.values, expected)
+
+
+def test_local_cell_diagrams_match_per_cell_oracle():
+    # unit, weighted and disconnected graphs; a few landmarks with a larger
+    # local fraction, so cells hold the two local landmarks nu = 2 needs
+    rng = np.random.default_rng(65)
+    runs = np.zeros(3, dtype=int)
+    for trial in range(24):
+        n = int(rng.integers(8, 30))
+        g = random_connected_graph(rng, n, extra=n // 2, weighted=trial % 3 == 1)
+        if trial % 3 == 2:               # two components, sometimes an isolated node
+            h = random_connected_graph(rng, n // 2, extra=2, weighted=True)
+            g = Graph.from_edges(n + n // 2 + trial % 2, [
+                *zip(*g.edge_array.T, g.weights),
+                *zip(*(h.edge_array + n).T, h.weights)])
+        comps = connected_components(g)
+        marks = [int(rng.choice(c)) for c in comps[:2]] + rng.choice(n, 2).tolist()
+        cover = build_cover(g, LandmarkSet(tuple(dict.fromkeys(marks)),
+                                           float(rng.uniform(0.4, 0.9))))
+        fewest = min(len(m) for m in cover.local_landmarks.values())
+        for nu in range(min(2, fewest) + 1):
+            for dimension in (0, 1):
+                max_scale = float(rng.choice([np.inf, 2.0]))
+                got = local_cell_diagrams(g, cover, max_dim=2, nu=nu,
+                                          dimension=dimension, max_scale=max_scale)
+                want = oracle_local_cell_diagrams(g, cover, 2, nu, dimension, max_scale)
+                assert list(got) == list(want) and got == want
+                runs[nu] += 1
+    assert runs.min() >= 4
 
 
 def test_global_deterministic():

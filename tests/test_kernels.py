@@ -4,11 +4,11 @@ checked against independent oracles: networkx and plain-python loops."""
 import networkx as nx
 import numpy as np
 
-from conftest import oracle_witness_edge_scales, random_connected_graph, random_graph
-from wtopo import Graph
+from conftest import (diagram_of, oracle_witness_edge_scales, random_connected_graph,
+                      random_graph)
+from wtopo import UNION_FIND, Filtration, Graph, compute_persistence
 from wtopo.complexes import _witness_edge_scales, relaxation_terms
 from wtopo.graph import connected_components, diameter, geodesics
-from wtopo.persistence import _h0_merge
 
 
 def to_networkx(g):
@@ -171,16 +171,22 @@ def oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales):
 
 
 def test_h0_merge_matches_union_find_oracle():
+    # half the trials give every vertex birth 0 (the spanning forest, with
+    # zero-scale edges), half give some a later birth (the reduction); edge
+    # scales tie often
     rng = np.random.default_rng(95)
-    for _ in range(30):
+    for trial in range(60):
         nv = int(rng.integers(1, 25))
-        vert_scales = rng.choice([0.0, 0.5, 1.0], size=nv).tolist()
-        vert_rank = rng.permutation(nv).tolist()
-        ne = int(rng.integers(0, nv * 2 + 1))
-        edge_u = rng.integers(0, nv, size=ne).tolist()
-        edge_v = rng.integers(0, nv, size=ne).tolist()
-        edge_scales = np.sort(rng.uniform(1.0, 3.0, size=ne)).tolist()
-        births, deaths, roots = _h0_merge(vert_scales, vert_rank, edge_u, edge_v,
-                                          edge_scales)
-        assert (births, deaths, roots) == oracle_h0_merge(
-            vert_scales, vert_rank, edge_u, edge_v, edge_scales)
+        births = [0.0, 0.5, 1.0] if trial % 2 else [0.0]
+        vert_scales = rng.choice(births, size=nv).tolist()
+        pairs = sorted({(int(min(u, v)), int(max(u, v)))
+                        for u, v in rng.integers(0, nv, size=(2 * nv, 2)) if u != v})
+        simplices = [((v,), s) for v, s in enumerate(vert_scales)]
+        simplices += [(p, float(rng.choice([births[-1], 1.5, 2.0, 2.5]))) for p in pairs]
+        f = Filtration.from_simplices(simplices, max_dim=1)
+        # the oracle walks vertices and edges in filtration order
+        vert_rank = np.argsort(np.lexsort((np.arange(nv), vert_scales))).tolist()
+        (edge_u, edge_v), edge_scales = f.vertices[1].T.tolist(), f.scales[1].tolist()
+        b, d, roots = oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales)
+        want = diagram_of(np.column_stack([b, d]), [vert_scales[r] for r in roots])
+        assert compute_persistence(f, UNION_FIND) == want

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import (betti_from_diagram, diagram_of, oracle_betti_counts,
-                      oracle_bottleneck, oracle_wasserstein, random_connected_graph,
-                      random_diagram, random_filtration)
+                      oracle_bottleneck, oracle_reduction, oracle_wasserstein,
+                      random_connected_graph, random_diagram, random_filtration,
+                      random_graph)
 from wtopo import (REDUCTION, UNION_FIND, Filtration, all_pairs,
-                   compute_persistence, diagram_distance, vr_filtration)
+                   compute_persistence, diagram_distance, geodesics,
+                   select_landmarks, vr_filtration, witness_filtration)
 from wtopo.persistence import PersistenceDiagram
 
 
@@ -75,6 +77,28 @@ def test_union_find_reduction_equivalence_random():
         red = compute_persistence(f, REDUCTION, homology_dims=(0,))
         assert uf.points_in(0).tolist() == red.points_in(0).tolist()
         assert uf.essential_in(0).tolist() == red.essential_in(0).tolist()
+
+
+def test_forest_h0_matches_reduction_oracle():
+    # witness filtrations with zero-scale edges (nu > 0), tied unit scales and
+    # landmarks in different components, against the whole-matrix reduction
+    rng = np.random.default_rng(43)
+    zero_merges = split = 0
+    for trial in range(80):
+        n = int(rng.integers(2, 25))
+        g = random_graph(rng, n, p=float(rng.choice([0.08, 0.25])),
+                         weighted=bool(trial % 2))
+        marks = list(select_landmarks(g, float(rng.uniform(0.3, 1.0))).landmarks)
+        rows = geodesics(g, marks).dists
+        nu = int(rng.integers(0, min(2, len(marks)) + 1))
+        f = witness_filtration(rows[:, marks], rows.T, 1,
+                               float(rng.choice([np.inf, 1.5])), nu=nu)
+        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
+        got = compute_persistence(f, UNION_FIND)
+        assert got == diagram_of(want.points_in(0), want.essential_in(0))
+        zero_merges += want.essential_in(0).size + want.num_points(0) < len(marks)
+        split += want.essential_in(0).size > 1
+    assert zero_merges >= 10 and split >= 10
 
 
 def test_reduction_betti_oracle_random():
