@@ -14,6 +14,7 @@ from .graph import ValidationError
 VR = "vr"
 WITNESS = "witness"
 _TRIANGLE_CHUNK = 1 << 20   # common-neighbour mask cells per triangle-search step
+_SEGMENT_CHUNK = 1 << 20    # witness entries per segment-minimum step of the block scales
 
 
 @dataclass(frozen=True)
@@ -197,26 +198,123 @@ def relaxation_terms(witness_dists: np.ndarray, nu: int) -> np.ndarray:
 
 
 def _witness_edge_scales(witness_dists: np.ndarray, m_nu: np.ndarray) -> np.ndarray:
-    # entry (i, j) = min over witnesses w of max(0, max(d(w,i), d(w,j)) - m_nu[w]);
-    # witnesses with m_nu = inf never witness, unwitnessed pairs and the diagonal are inf
+    # entry (i, j) = min over witnesses w of max(A[w, i], A[w, j]), the (min, max)
+    # product of A = max(witness_dists - m_nu, 0) over the witnesses whose m_nu
+    # is finite; unwitnessed pairs and the diagonal are inf. Clamping and
+    # subtracting before the max is exact: fl(x - m) is monotone in x.
     n_land = witness_dists.shape[1]
-    out = np.full((n_land, n_land), np.inf)
     active = m_nu != np.inf
-    wd = witness_dists[active]
-    mn = m_nu[active]
-    if wd.shape[0] == 0:
-        return out
-    # min_w max(x_w, 0) == max(min_w x_w, 0), so the clamp runs once at the
-    # end; one (W, L) buffer serves every row, so the loop allocates nothing
-    # and its cost does not depend on how the allocator trims freed memory
-    pairwise = np.empty_like(wd)
-    for i in range(n_land):
-        np.maximum(wd[:, i : i + 1], wd, out=pairwise)
-        pairwise -= mn[:, None]                      # inf stays inf: mn is finite
-        pairwise.min(axis=0, out=out[i])
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, np.inf)
-    return out
+    a = witness_dists[active]           # a copy; A is built in place
+    a -= m_nu[active, None]
+    np.maximum(a, 0.0, out=a)
+    # Each level is one W x L x L float32 BLAS product; the loop makes about
+    # W x L x L / 2 elementwise steps, memory-bound at large sizes. Measured
+    # break-even level counts (W = 20 L, one BLAS thread): 10 at L = 10, 31
+    # at L = 75, 58 at L = 250, 104 at L = 500; the cap stays below each.
+    # Unit weights give at most diameter + 1 levels, weighted graphs about W * L.
+    levels = _levels(a, min(n_land / 3, 48))
+    upper = _pair_loop(a) if levels is None else _level_products(a, levels)
+    return np.minimum(upper, upper.T)
+
+
+def _levels(a: np.ndarray, cap: float) -> np.ndarray | None:
+    # ascending finite values of A, or None when there are more than cap; one
+    # column's values already exceed cap on weighted rows, so those skip
+    # sorting all W x L entries
+    for part in (a[:, :1], a):
+        levels = np.unique(part)
+        levels = levels[: np.searchsorted(levels, np.inf)]   # inf sorts last
+        if levels.size > cap:
+            return None
+    return levels
+
+
+def _level_products(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    # upper triangle of the (min, max) product over the ascending finite
+    # values ``levels`` of A: a pair's scale is the first level t with a
+    # witness at or below t on both ends, a nonzero entry of B^T B with
+    # B = (A <= t). The sums count 0/1 terms, so > 0 is exact in float32.
+    n_land = a.shape[1]
+    upper = np.full((n_land, n_land), np.inf)
+    unset = np.triu(np.ones((n_land, n_land), dtype=bool), 1)
+    b = np.empty(a.shape, dtype=np.float32)
+    for t in levels:
+        np.less_equal(a, t, out=b)
+        hit = unset & (b.T @ b > 0.0)
+        upper[hit] = t
+        unset ^= hit
+        if not unset.any():
+            break
+    return upper
+
+
+def _pair_loop(a: np.ndarray) -> np.ndarray:
+    # upper triangle of the (min, max) product, one landmark row at a time;
+    # one buffer of W x L values serves every row (contiguous, as a prefix),
+    # so the loop allocates nothing and its cost does not depend on how the
+    # allocator trims freed memory
+    n_wit, n_land = a.shape
+    upper = np.full((n_land, n_land), np.inf)
+    pairwise = np.empty(a.size)
+    for i in range(n_land - 1):
+        rest = pairwise[: n_wit * (n_land - 1 - i)].reshape(n_wit, n_land - 1 - i)
+        np.maximum(a[:, i : i + 1], a[:, i + 1 :], out=rest)
+        rest.min(axis=0, out=upper[i, i + 1 :], initial=np.inf)   # W may be 0
+    return upper
+
+
+def witness_block_scales(rows: np.ndarray, sizes: np.ndarray, witnesses: Sequence[np.ndarray],
+                         nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lazy-witness edge scales of many small witness complexes at once.
+
+    Block b owns the next ``sizes[b]`` landmark rows of ``rows`` (S, N) and
+    is witnessed by the columns ``witnesses[b]``; its m_nu and edge scales
+    are those ``witness_filtration`` gives for that block alone. Returns
+    (block, pairs, scales) for every landmark pair a < b of every block, in
+    (block, a, b) order, pairs in the block's own landmark ids. Each scale is
+    one segment minimum over the block's witnesses.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if not 0 <= nu <= sizes.min():
+        raise ValueError("nu must be in [0, num_landmarks]")
+    counts = np.array([len(w) for w in witnesses], dtype=np.int64)
+    # A's entries in (block, witness, landmark) order: witness w of block b
+    # reads its block's rows at its own column
+    per_wit = np.repeat(sizes, counts)
+    wit_start = np.cumsum(per_wit) - per_wit
+    wit = np.repeat(np.arange(per_wit.size), per_wit)
+    row = (np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts), per_wit)
+           + np.arange(wit.size) - wit_start[wit])
+    a = rows[row, np.concatenate(witnesses)[wit]]
+    if nu:
+        m = a[np.lexsort((a, wit))][wit_start + nu - 1]   # nu-th smallest per witness
+        active = np.isfinite(m)
+        a = np.maximum(a - np.where(active, m, 0.0)[wit], 0.0)
+        a[~active[wit]] = np.inf
+    # pairs listed by (b, a) make those of a k-landmark block a prefix of the
+    # largest block's list
+    n_pairs = sizes * (sizes - 1) // 2
+    block = np.repeat(np.arange(sizes.size), n_pairs)
+    second, first = np.tril_indices(sizes.max(), -1)
+    p = np.arange(block.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
+    order = np.lexsort((second[p], first[p], block))
+    block, first, second = block[order], first[p][order], second[p][order]
+    # pair p's segment holds its block's witnesses, each giving max(A[w, a], A[w, b])
+    seg = counts[block]
+    ends = np.cumsum(seg)
+    block_wit = np.cumsum(counts) - counts
+    scales = np.empty(block.size)
+    lo = 0
+    while lo < block.size:      # pairs in steps of about _SEGMENT_CHUNK entries
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - seg[lo] + _SEGMENT_CHUNK, "right")))
+        s = seg[lo:hi]
+        starts = np.cumsum(s) - s
+        w = wit_start[np.repeat(block_wit[block[lo:hi]] - starts, s) + np.arange(s.sum())]
+        np.minimum.reduceat(np.maximum(a[w + np.repeat(first[lo:hi], s)],
+                                       a[w + np.repeat(second[lo:hi], s)]),
+                            starts, out=scales[lo:hi])
+        lo = hi
+    return block, np.column_stack([first, second]), scales
 
 
 def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,

@@ -15,11 +15,11 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import witness_filtration
+from .complexes import WITNESS, _assemble, witness_block_scales, witness_filtration
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
+from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram, block_h0,
                           compute_persistence)
 
 LOCAL = "local"
@@ -71,12 +71,6 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _witness_diagram(land_dists: np.ndarray, witness_dists: np.ndarray, max_dim: int,
-                     max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
-    filt = witness_filtration(land_dists, witness_dists, max_dim, max_scale, nu=nu)
-    return compute_persistence(filt, UNION_FIND if dimension == 0 else REDUCTION)
-
-
 def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
                         dimension: int = 0,
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
@@ -86,18 +80,34 @@ def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
     leaves each cell's induced subgraph as one block of the graph. One
     geodesics pass over that cut, from every cell's local landmarks, gives
     each cell's rows; Dijkstra distances do not depend on node labels, so
-    they equal the rows of the cell's subgraph bit for bit.
+    they equal the rows of the cell's subgraph bit for bit. The edge scales
+    of every cell come from one batched pass, and in dimension 0 every
+    cell's H0 from one spanning forest.
     """
+    if max_dim not in (0, 1, 2):
+        raise ValueError("max_dim must be 0, 1 or 2")
     ends = cover.cell_of[g.edge_array]
     same = ends[:, 0] == ends[:, 1]
     cut = Graph(g.num_nodes, g.edge_array[same], g.weights[same])
-    rows = geodesics(cut, np.concatenate(list(cover.local_landmarks.values()))).dists
-    diagrams, start = {}, 0
-    for l, marks in cover.local_landmarks.items():
-        block = rows[start:start + len(marks)]
-        start += len(marks)
-        diagrams[l] = _witness_diagram(block[:, marks], block[:, cover.cells[l]].T,
-                                       max_dim, max_scale, nu, dimension)
+    marks = list(cover.local_landmarks.values())
+    rows = geodesics(cut, np.concatenate(marks)).dists
+    sizes = np.array([len(m) for m in marks])
+    block, pairs, scales = witness_block_scales(
+        rows, sizes, [cover.cells[l] for l in cover.local_landmarks], nu)
+    if dimension == 0:
+        # the edges _assemble would keep (none when max_dim is 0), in
+        # (cell, scale, vertices) order: lexsort is stable, so ties keep (a, b)
+        keep = np.flatnonzero(np.isfinite(scales) & (scales <= max_scale) & (max_dim > 0))
+        keep = keep[np.lexsort((scales[keep], block[keep]))]
+        h0 = block_h0(sizes, block[keep], pairs[keep], scales[keep])
+        return dict(zip(cover.local_landmarks, h0))
+    diagrams, split = {}, np.cumsum(np.bincount(block, minlength=sizes.size))[:-1]
+    for l, k, p, s in zip(cover.local_landmarks, sizes.tolist(), np.split(pairs, split),
+                          np.split(scales, split)):
+        edge_scales = np.full((k, k), np.inf)
+        edge_scales[p[:, 0], p[:, 1]] = edge_scales[p[:, 1], p[:, 0]] = s
+        diagrams[l] = compute_persistence(
+            _assemble(k, edge_scales, max_dim, max_scale, WITNESS, nu), REDUCTION)
     return diagrams
 
 
@@ -135,8 +145,9 @@ def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
     cover is built from ``fraction`` when not given."""
     if cover is None:
         cover = build_cover(g, select_landmarks(g, fraction))
-    return _witness_diagram(cover.rows.between_sources, cover.rows.dists.T, max_dim,
-                            max_scale, nu, dimension)
+    filt = witness_filtration(cover.rows.between_sources, cover.rows.dists.T, max_dim,
+                              max_scale, nu=nu)
+    return compute_persistence(filt, UNION_FIND if dimension == 0 else REDUCTION)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

@@ -106,6 +106,11 @@ class Graph:
         return csr_matrix((wts[order], tails[order], indptr), shape=(n, n))
 
     @cached_property
+    def _covers(self) -> dict:
+        # landmarks.build_cover's results, keyed by LandmarkSet
+        return {}
+
+    @cached_property
     def _component_labels(self) -> np.ndarray:
         # component k is the one holding the k-th smallest "smallest node id"
         _, labels = csgraph.connected_components(self._csr, directed=False)

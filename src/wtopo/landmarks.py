@@ -75,7 +75,15 @@ def build_cover(g: Graph, ls: LandmarkSet) -> Cover:
     Ties go to the landmark earlier in the LandmarkSet order. Nodes unreachable
     from every landmark are flagged and become their own singleton cells.
     Cells list the landmarks first, in LandmarkSet order, then those nodes.
+    A Graph is immutable, so the cover is memoised on it: a repeat call with
+    an equal LandmarkSet returns the same Cover without recomputing it.
     """
+    if ls not in g._covers:
+        g._covers[ls] = _voronoi_cover(g, ls)
+    return g._covers[ls]
+
+
+def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
     rows = geodesics(g, ls.landmarks)     # rejects empty or out-of-range landmarks
     land = np.asarray(rows.sources, dtype=np.int64)
 

@@ -89,7 +89,9 @@ def test_image_command(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["loss"], ["distance", "{0}"],
                                      ["image", "--birth-range", "0,2", "--pers-range", "0,2"]])
 @pytest.mark.parametrize("obj", [[{"points": [[0, 1]]}], {"dim": 0}, [[0, 1]],
-                                 [{"dim": "0"}]])
+                                 [{"dim": "0"}], [{"dim": 0, "points": {}}],
+                                 [{"dim": 0, "essential": [[1, 2]]}],
+                                 [{"dim": 0, "points": [1, 2]}]])
 def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, obj):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps(obj))

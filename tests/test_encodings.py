@@ -104,6 +104,47 @@ def test_local_cell_diagrams_match_per_cell_oracle():
     assert runs.min() >= 4
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_local_cell_diagrams_match_oracle_under_finite_caps(weighted):
+    # caps at an edge scale some cell has (a tie with max_scale), between
+    # two scales and at 0; weighted cells get distinct non-integer scales
+    rng = np.random.default_rng(67 + weighted)
+    capped = 0
+    for _ in range(6):
+        n = int(rng.integers(15, 35))
+        g = random_connected_graph(rng, n, extra=n, weighted=weighted)
+        cover = build_cover(g, LandmarkSet(tuple(rng.choice(n, 3, replace=False).tolist()),
+                                           float(rng.uniform(0.4, 0.9))))
+        full = oracle_local_cell_diagrams(g, cover, 1, 0, 0, np.inf)
+        deaths = np.unique(np.concatenate([d.points_in(0)[:, 1] for d in full.values()]))
+        if deaths.size == 0:
+            continue
+        fewest = min(len(m) for m in cover.local_landmarks.values())
+        for max_scale in (float(deaths[deaths.size // 2]),
+                          float(deaths[0] + deaths[-1]) / 2.0, 0.0):
+            for nu in range(min(2, fewest) + 1):
+                for dimension in (0, 1):
+                    got = local_cell_diagrams(g, cover, max_dim=2, nu=nu,
+                                              dimension=dimension, max_scale=max_scale)
+                    assert got == oracle_local_cell_diagrams(g, cover, 2, nu, dimension,
+                                                             max_scale)
+            capped += 1
+    assert capped >= 9
+
+
+@pytest.mark.parametrize("max_dim, dimension", [(0, 0), (1, 0), (2, 1)])
+def test_local_cell_diagrams_reject_nu_above_a_cells_landmarks(max_dim, dimension):
+    rng = np.random.default_rng(68)
+    g = random_connected_graph(rng, 20, extra=10)
+    cover = build_cover(g, select_landmarks(g, 0.1))
+    nu = min(len(m) for m in cover.local_landmarks.values()) + 1
+    with pytest.raises(ValueError) as got:
+        local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu, dimension=dimension)
+    with pytest.raises(ValueError) as want:
+        oracle_local_cell_diagrams(g, cover, max_dim, nu, dimension, np.inf)
+    assert str(got.value) == str(want.value)
+
+
 def test_global_deterministic():
     rng = np.random.default_rng(63)
     g = random_connected_graph(rng, 15, extra=8)

@@ -3,11 +3,16 @@ checked against independent oracles: networkx and plain-python loops."""
 
 import networkx as nx
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (diagram_of, oracle_witness_edge_scales, random_connected_graph,
                       random_graph)
-from wtopo import UNION_FIND, Filtration, Graph, compute_persistence
-from wtopo.complexes import _witness_edge_scales, relaxation_terms
+from wtopo import UNION_FIND, Filtration, Graph, compute_persistence, select_landmarks
+import wtopo.complexes
+from wtopo.complexes import (_level_products, _pair_loop, _witness_edge_scales,
+                             relaxation_terms, witness_block_scales)
 from wtopo.graph import connected_components, diameter, geodesics
 
 
@@ -146,6 +151,91 @@ def test_witness_edge_scales_match_oracle():
             want = oracle_witness_edge_scales(wd, nu)
             np.fill_diagonal(want, np.inf)
             assert np.array_equal(got, want)
+
+
+def edge_scale_branches(wd, nu):
+    """Both branches of ``_witness_edge_scales`` on A = max(wd - m_nu, 0) over
+    the active witnesses, symmetrised: (level products, pair loop)."""
+    m = relaxation_terms(wd, nu)
+    active = m != np.inf
+    a = np.maximum(wd[active] - m[active, None], 0.0)
+    levels = np.unique(a[np.isfinite(a)])
+    return tuple(np.minimum(u, u.T) for u in (_level_products(a, levels), _pair_loop(a)))
+
+
+def assert_edge_scales_match_oracle(wd):
+    # from nu = 3 on, a witness short of nu finite landmarks can still see a pair
+    for nu in range(min(3, wd.shape[1]) + 1):
+        want = oracle_witness_edge_scales(wd, nu)
+        np.fill_diagonal(want, np.inf)
+        products, loop = edge_scale_branches(wd, nu)
+        assert np.array_equal(products, want)
+        assert np.array_equal(loop, want)
+        assert np.array_equal(_witness_edge_scales(wd, relaxation_terms(wd, nu)), want)
+
+
+@pytest.mark.parametrize("integer", [True, False])
+@pytest.mark.parametrize("n_wit, n_land", [(1, 1), (1, 7), (9, 1), (20, 16), (40, 9)])
+def test_edge_scale_branches_match_oracle(integer, n_wit, n_land):
+    # integer rows have few levels (the level products' case), float rows
+    # about W * L (the loop's); both get inf entries, an all-inf witness row
+    # and tied values, and both branches run on each
+    rng = np.random.default_rng(7 * n_wit + n_land + integer)
+    for _ in range(4):
+        if integer:
+            wd = rng.integers(0, 4, size=(n_wit, n_land)).astype(np.float64)
+        else:
+            wd = rng.uniform(0.0, 5.0, size=(n_wit, n_land))
+            wd[:, n_land // 2] = wd[:, 0]                     # tied columns
+        wd[rng.random(size=wd.shape) < 0.15] = np.inf
+        wd[rng.integers(0, n_wit)] = np.inf
+        assert_edge_scales_match_oracle(wd)
+
+
+def test_edge_scale_branches_agree_on_a_unit_graph():
+    rng = np.random.default_rng(98)
+    g = random_connected_graph(rng, 1500, extra=1500)
+    wd = geodesics(g, select_landmarks(g, 0.05).landmarks).dists.T
+    for nu in (0, 1, 2):
+        products, loop = edge_scale_branches(wd, nu)
+        assert np.array_equal(products, loop)
+        assert np.array_equal(_witness_edge_scales(wd, relaxation_terms(wd, nu)), loop)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n_land: st.lists(
+    st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]), min_size=n_land, max_size=n_land),
+    min_size=1, max_size=6)))
+def test_edge_scale_branches_match_oracle_on_small_integer_rows(rows):
+    assert_edge_scales_match_oracle(np.array(rows))
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 20])
+def test_witness_block_scales_match_per_block_oracle(monkeypatch, chunk):
+    # blocks of 1-5 landmarks over random rows with inf entries, so some
+    # witnesses reach fewer than nu landmarks (nu up to 3); a tiny chunk
+    # splits the segment minimum into many steps
+    monkeypatch.setattr(wtopo.complexes, "_SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(99)
+    for _ in range(20):
+        sizes = rng.integers(int(rng.integers(1, 4)), 6, size=int(rng.integers(1, 6)))
+        n_cols = 12
+        rows = rng.integers(0, 4, size=(sizes.sum(), n_cols)).astype(np.float64)
+        rows[rng.random(size=rows.shape) < 0.25] = np.inf
+        witnesses = [rng.choice(n_cols, int(rng.integers(1, n_cols)), replace=False)
+                     for _ in sizes]
+        for nu in range(min(3, sizes.min()) + 1):
+            block, pairs, scales = witness_block_scales(rows, sizes, witnesses, nu)
+            start = 0
+            for b, (k, cols) in enumerate(zip(sizes, witnesses)):
+                want = oracle_witness_edge_scales(rows[start:start + k, cols].T, nu)
+                start += k
+                i, j = np.triu_indices(k, 1)
+                assert np.array_equal(pairs[block == b], np.column_stack([i, j]))
+                assert np.array_equal(scales[block == b], want[i, j])
+            assert np.all(np.diff(block) >= 0)
+    with pytest.raises(ValueError, match="nu must be"):
+        witness_block_scales(rows, sizes, witnesses, int(sizes.min()) + 1)
 
 
 def oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales):

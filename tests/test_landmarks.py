@@ -170,6 +170,22 @@ def test_cover_json_schema():
     assert obj["cells"] == {"0": [0, 1, 5], "3": [2, 3, 4]}
 
 
+def test_build_cover_is_memoised_on_the_graph(monkeypatch):
+    import wtopo.landmarks
+    rng = np.random.default_rng(24)
+    g = random_connected_graph(rng, 30, extra=10)
+    first = build_cover(g, select_landmarks(g, 0.2))
+    calls = []
+    monkeypatch.setattr(wtopo.landmarks, "geodesics",
+                        lambda *args, **kw: calls.append(args) or geodesics(*args, **kw))
+    assert build_cover(g, select_landmarks(g, 0.2)) is first
+    assert calls == []
+    # another landmark set, or the same landmarks under another fraction
+    # (which sets the local landmark counts), is a new cover
+    other = build_cover(g, LandmarkSet(select_landmarks(g, 0.2).landmarks, 0.5))
+    assert other is not first and len(calls) == 1
+
+
 def test_build_cover_empty_landmarks_rejected():
     with pytest.raises(ValueError):
         build_cover(six_cycle(), LandmarkSet((), 0.1))
