@@ -91,8 +91,11 @@ def _diagram_json(d: PersistenceDiagram) -> str:
     return json.dumps(d.to_json_obj(), separators=(",", ":")) + "\n"
 
 
-def _csv_of_matrix(m: np.ndarray) -> str:
-    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m)
+def _written(write) -> str:
+    # the text a writer such as ``to_csv`` puts into a file object
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,7 @@ def _cmd_image(args) -> int:
     d = _load_diagram(args.input)
     cfg = _image_config(args, None)
     img = persistence_image(d, cfg, args.dimension)
-    _emit(args.output, _csv_of_matrix(img.pixels))
+    _emit(args.output, _written(img.to_csv))
     return 0
 
 
@@ -149,7 +152,7 @@ def _cmd_local_features(args) -> int:
         feats.to_binary(buf)
         _atomic_write(args.output, buf.getvalue())
     else:
-        _emit(args.output, _csv_of_matrix(feats.values))
+        _emit(args.output, _written(feats.to_csv))
     return 0
 
 
@@ -159,7 +162,7 @@ def _cmd_global_features(args) -> int:
     img = global_encoding(g, args.fraction, cfg, max_dim=args.max_dim,
                           dimension=args.dimension, nu=args.nu,
                           max_scale=args.max_scale)
-    _emit(args.output, _csv_of_matrix(img.pixels))
+    _emit(args.output, _written(img.to_csv))
     return 0
 
 
@@ -189,9 +192,7 @@ def _cmd_perturb(args) -> int:
         landmarks = select_landmarks(g, args.fraction).landmarks
     g2 = perturb(g, PerturbSpec(budget=budget, mode=args.mode, seed=args.seed),
                  landmarks=landmarks)
-    buf = io.StringIO()
-    g2.to_edge_list(buf)
-    _emit(args.output, buf.getvalue())
+    _emit(args.output, _written(g2.to_edge_list))
     return 0
 
 
@@ -205,9 +206,7 @@ def _cmd_sweep(args) -> int:
         TopoLossConfig(args.p, args.q), mode=args.mode, base_seed=args.seed,
         freeze_landmarks=args.freeze_landmarks, max_dim=args.max_dim,
         dimension=args.dimension, nu=args.nu, max_scale=args.max_scale)
-    buf = io.StringIO()
-    report.to_csv(buf)
-    _emit(args.output, buf.getvalue())
+    _emit(args.output, _written(report.to_csv))
     return 0
 
 

@@ -14,7 +14,6 @@ from .graph import ValidationError
 VR = "vr"
 WITNESS = "witness"
 _TRIANGLE_CHUNK = 1 << 20   # common-neighbour mask cells per triangle-search step
-_SEGMENT_CHUNK = 1 << 20    # witness entries per segment-minimum step of the block scales
 
 
 @dataclass(frozen=True)
@@ -263,58 +262,16 @@ def _pair_loop(a: np.ndarray) -> np.ndarray:
     return upper
 
 
-def witness_block_scales(rows: np.ndarray, sizes: np.ndarray, witnesses: Sequence[np.ndarray],
-                         nu: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lazy-witness edge scales of many small witness complexes at once.
-
-    Block b owns the next ``sizes[b]`` landmark rows of ``rows`` (S, N) and
-    is witnessed by the columns ``witnesses[b]``; its m_nu and edge scales
-    are those ``witness_filtration`` gives for that block alone. Returns
-    (block, pairs, scales) for every landmark pair a < b of every block, in
-    (block, a, b) order, pairs in the block's own landmark ids. Each scale is
-    one segment minimum over the block's witnesses.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    if not 0 <= nu <= sizes.min():
-        raise ValueError("nu must be in [0, num_landmarks]")
-    counts = np.array([len(w) for w in witnesses], dtype=np.int64)
-    # A's entries in (block, witness, landmark) order: witness w of block b
-    # reads its block's rows at its own column
-    per_wit = np.repeat(sizes, counts)
-    wit_start = np.cumsum(per_wit) - per_wit
-    wit = np.repeat(np.arange(per_wit.size), per_wit)
-    row = (np.repeat(np.repeat(np.cumsum(sizes) - sizes, counts), per_wit)
-           + np.arange(wit.size) - wit_start[wit])
-    a = rows[row, np.concatenate(witnesses)[wit]]
-    if nu:
-        m = a[np.lexsort((a, wit))][wit_start + nu - 1]   # nu-th smallest per witness
-        active = np.isfinite(m)
-        a = np.maximum(a - np.where(active, m, 0.0)[wit], 0.0)
-        a[~active[wit]] = np.inf
-    # pairs listed by (b, a) make those of a k-landmark block a prefix of the
-    # largest block's list
-    n_pairs = sizes * (sizes - 1) // 2
-    block = np.repeat(np.arange(sizes.size), n_pairs)
-    second, first = np.tril_indices(sizes.max(), -1)
-    p = np.arange(block.size) - np.repeat(np.cumsum(n_pairs) - n_pairs, n_pairs)
-    order = np.lexsort((second[p], first[p], block))
-    block, first, second = block[order], first[p][order], second[p][order]
-    # pair p's segment holds its block's witnesses, each giving max(A[w, a], A[w, b])
-    seg = counts[block]
-    ends = np.cumsum(seg)
-    block_wit = np.cumsum(counts) - counts
-    scales = np.empty(block.size)
-    lo = 0
-    while lo < block.size:      # pairs in steps of about _SEGMENT_CHUNK entries
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - seg[lo] + _SEGMENT_CHUNK, "right")))
-        s = seg[lo:hi]
-        starts = np.cumsum(s) - s
-        w = wit_start[np.repeat(block_wit[block[lo:hi]] - starts, s) + np.arange(s.sum())]
-        np.minimum.reduceat(np.maximum(a[w + np.repeat(first[lo:hi], s)],
-                                       a[w + np.repeat(second[lo:hi], s)]),
-                            starts, out=scales[lo:hi])
-        lo = hi
-    return block, np.column_stack([first, second]), scales
+def _witness_complex(witness_dists: np.ndarray, max_dim: int, max_scale: float,
+                     nu: int) -> Filtration:
+    # the lazy-witness filtration over validated (W, L) witness rows; every
+    # witness complex, of the whole graph or of one cover cell, is built here
+    n_land = witness_dists.shape[1]
+    if max_dim == 0:
+        edge_scales = np.full((n_land, n_land), np.inf)
+    else:
+        edge_scales = _witness_edge_scales(witness_dists, relaxation_terms(witness_dists, nu))
+    return _assemble(n_land, edge_scales, max_dim, max_scale, WITNESS, nu)
 
 
 def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,
@@ -336,11 +293,7 @@ def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,
         raise ValueError("max_dim must be 0, 1 or 2")
     if not (0 <= nu <= land.shape[0]):
         raise ValueError("nu must be in [0, num_landmarks]")
-    if max_dim == 0:
-        edge_scales = np.full_like(land, np.inf)
-    else:
-        edge_scales = _witness_edge_scales(wd, relaxation_terms(wd, nu))
-    return _assemble(land.shape[0], edge_scales, max_dim, max_scale, WITNESS, nu)
+    return _witness_complex(wd, max_dim, max_scale, nu)
 
 
 def is_weak_witness(w: int, sigma: Sequence[int], cover_dists: np.ndarray) -> bool:

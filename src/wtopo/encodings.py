@@ -15,7 +15,7 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import WITNESS, _assemble, witness_block_scales, witness_filtration
+from .complexes import _witness_complex, witness_filtration
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
@@ -80,9 +80,9 @@ def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
     leaves each cell's induced subgraph as one block of the graph. One
     geodesics pass over that cut, from every cell's local landmarks, gives
     each cell's rows; Dijkstra distances do not depend on node labels, so
-    they equal the rows of the cell's subgraph bit for bit. The edge scales
-    of every cell come from one batched pass, and in dimension 0 every
-    cell's H0 from one spanning forest.
+    they equal the rows of the cell's subgraph bit for bit. Each cell's
+    filtration is built like the whole graph's, and in dimension 0 every
+    cell's H0 comes from one spanning forest.
     """
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
@@ -92,23 +92,25 @@ def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
     marks = list(cover.local_landmarks.values())
     rows = geodesics(cut, np.concatenate(marks)).dists
     sizes = np.array([len(m) for m in marks])
-    block, pairs, scales = witness_block_scales(
-        rows, sizes, [cover.cells[l] for l in cover.local_landmarks], nu)
-    if dimension == 0:
-        # the edges _assemble would keep (none when max_dim is 0), in
-        # (cell, scale, vertices) order: lexsort is stable, so ties keep (a, b)
-        keep = np.flatnonzero(np.isfinite(scales) & (scales <= max_scale) & (max_dim > 0))
-        keep = keep[np.lexsort((scales[keep], block[keep]))]
-        h0 = block_h0(sizes, block[keep], pairs[keep], scales[keep])
-        return dict(zip(cover.local_landmarks, h0))
-    diagrams, split = {}, np.cumsum(np.bincount(block, minlength=sizes.size))[:-1]
-    for l, k, p, s in zip(cover.local_landmarks, sizes.tolist(), np.split(pairs, split),
-                          np.split(scales, split)):
-        edge_scales = np.full((k, k), np.inf)
-        edge_scales[p[:, 0], p[:, 1]] = edge_scales[p[:, 1], p[:, 0]] = s
-        diagrams[l] = compute_persistence(
-            _assemble(k, edge_scales, max_dim, max_scale, WITNESS, nu), REDUCTION)
-    return diagrams
+    if not 0 <= nu <= sizes.min():
+        raise ValueError("nu must be in [0, num_landmarks]")
+    # cell b owns the next sizes[b] rows and is witnessed by its members; a
+    # cell with one local landmark is one vertex and needs no filtration
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    filts = {b: _witness_complex(rows[s:s + k, cover.cells[l]].T, max_dim, max_scale, nu)
+             for b, (l, s, k) in enumerate(zip(cover.local_landmarks, starts, sizes.tolist()))
+             if k > 1}
+    # every cell's H0 from one spanning forest over the cells' edges, which
+    # come in (cell, scale, vertices) order; in higher dimensions it stands
+    # only for the one-vertex cells (one essential 0), so it gets no edges
+    no_edges = (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64), np.empty(0))
+    edges = [(np.full(f.scales[1].size, b), f.vertices[1], f.scales[1])
+             for b, f in filts.items() if max_dim and not dimension]
+    diagrams = block_h0(sizes, *map(np.concatenate, zip(no_edges, *edges)))
+    if dimension:
+        for b, f in filts.items():
+            diagrams[b] = compute_persistence(f, REDUCTION)
+    return dict(zip(cover.local_landmarks, diagrams))
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,

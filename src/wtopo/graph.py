@@ -228,30 +228,23 @@ def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> G
                         node_features=x)
 
 
-def geodesics(g: Graph, sources: Sequence[int], method: str = "auto") -> DistanceMatrix:
+def geodesics(g: Graph, sources: Sequence[int]) -> DistanceMatrix:
     """Shortest-path rows from each source node.
 
-    Uses breadth-first traversal when all weights are 1 and Dijkstra otherwise;
-    ``method`` can force "bfs" (unit weights only) or "dijkstra".
+    Uses breadth-first traversal when all weights are 1 and Dijkstra otherwise.
     """
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
         raise ValueError("sources must be non-empty")
     if src.min() < 0 or src.max() >= g.num_nodes:
         raise ValueError("source ids outside [0, N)")
-    if method == "auto":
-        method = "bfs" if g.unit_weights else "dijkstra"
-    if method == "bfs" and not g.unit_weights:
-        raise ValueError("bfs requires unit weights")
-    if method not in ("bfs", "dijkstra"):
-        raise ValueError(f"unknown method {method!r}")
     dists = csgraph.dijkstra(g._csr, directed=True, indices=src,
-                             unweighted=method == "bfs")
+                             unweighted=g.unit_weights)
     return DistanceMatrix(tuple(int(s) for s in src), dists)
 
 
-def all_pairs(g: Graph, method: str = "auto") -> DistanceMatrix:
-    return geodesics(g, range(g.num_nodes), method=method)
+def all_pairs(g: Graph) -> DistanceMatrix:
+    return geodesics(g, range(g.num_nodes))
 
 
 def diameter(g: Graph) -> float:

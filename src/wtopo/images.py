@@ -37,12 +37,16 @@ class PIConfig:
     def __post_init__(self):
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
+        if not all(map(math.isfinite, (*self.birth_range, *self.persistence_range))):
+            raise ValueError("birth_range and persistence_range must be finite")
         if not self.birth_range[1] > self.birth_range[0]:
             raise ValueError("birth_range must be non-degenerate")
         if not self.persistence_range[1] > self.persistence_range[0]:
             raise ValueError("persistence_range must be non-degenerate")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if self.cap_value is not None and not math.isfinite(self.cap_value):
+            raise ValueError("cap_value must be finite")
         if self.essential_policy not in (DROP, CAP):
             raise ValueError("essential_policy must be 'drop' or 'cap'")
 

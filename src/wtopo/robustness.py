@@ -59,15 +59,6 @@ class StabilityReport:
             fp.write("\n")
 
 
-def _decode_pairs(idx: np.ndarray, n: int) -> np.ndarray:
-    # linear index over pairs (u, v), u < v, row-major: offsets[u] = u*n - u(u+1)/2
-    us = np.arange(n - 1, dtype=np.int64)
-    offsets = us * n - us * (us + 1) // 2
-    u = np.searchsorted(offsets, idx, side="right") - 1
-    v = idx - offsets[u] + u + 1
-    return np.column_stack([u, v])
-
-
 def _targeted_offsets(marks: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     # candidates: pairs (u, v), u < v, with u or v in marks, row-major; row u
     # holds n-1-u pairs when u is a landmark, else one per landmark above u
@@ -99,21 +90,16 @@ def perturb(g: Graph, spec: PerturbSpec,
     n = g.num_nodes
     rng = np.random.default_rng(spec.seed)
     if spec.mode == RANDOM:
-        capacity = n * (n - 1) // 2
-        if spec.budget > capacity:
-            raise ValueError(f"budget {spec.budget} exceeds {capacity} candidate pairs")
-        chosen = _decode_pairs(np.sort(rng.choice(capacity, size=spec.budget,
-                                                  replace=False)), n) \
-            if spec.budget else np.empty((0, 2), dtype=np.int64)
+        marks = np.arange(n, dtype=np.int64)     # every pair has a marked end
+    elif landmarks is None:
+        raise ValueError("landmark-targeted mode needs the landmark set")
     else:
-        if landmarks is None:
-            raise ValueError("landmark-targeted mode needs the landmark set")
         marks = np.unique(np.asarray(landmarks, dtype=np.int64))
-        starts, total = _targeted_offsets(marks, n)
-        if spec.budget > total:
-            raise ValueError(f"budget {spec.budget} exceeds {total} candidate pairs")
-        pick = rng.choice(total, size=spec.budget, replace=False)
-        chosen = _decode_targeted_pairs(np.sort(pick), starts, marks)
+    starts, total = _targeted_offsets(marks, n)
+    if spec.budget > total:
+        raise ValueError(f"budget {spec.budget} exceeds {total} candidate pairs")
+    pick = rng.choice(total, size=spec.budget, replace=False)
+    chosen = _decode_targeted_pairs(np.sort(pick), starts, marks)
 
     keys, flips = _pair_keys(g.edge_array, n), _pair_keys(chosen, n)
     kept = ~np.isin(keys, flips, assume_unique=True)

@@ -110,8 +110,7 @@ def oracle_from_edges(num_nodes, edges=(), node_features=None):
 
 def oracle_perturb(g, spec, landmarks=None):
     """robustness.perturb with the flips applied to a dict of edges."""
-    from wtopo.robustness import (RANDOM, _decode_pairs, _decode_targeted_pairs,
-                                  _targeted_offsets)
+    from wtopo.robustness import RANDOM, _decode_targeted_pairs, _targeted_offsets
 
     n = g.num_nodes
     rng = np.random.default_rng(spec.seed)
@@ -119,9 +118,9 @@ def oracle_perturb(g, spec, landmarks=None):
         capacity = n * (n - 1) // 2
         if spec.budget > capacity:
             raise ValueError(f"budget {spec.budget} exceeds {capacity} candidate pairs")
-        chosen = _decode_pairs(np.sort(rng.choice(capacity, size=spec.budget,
-                                                  replace=False)), n) \
-            if spec.budget else np.empty((0, 2), dtype=np.int64)
+        candidates = list(combinations(range(n), 2))   # row-major upper triangle
+        pick = rng.choice(capacity, size=spec.budget, replace=False) if spec.budget else []
+        chosen = [candidates[i] for i in sorted(pick)]
     else:
         if landmarks is None:
             raise ValueError("landmark-targeted mode needs the landmark set")

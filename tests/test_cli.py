@@ -102,6 +102,20 @@ def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, o
     assert err.startswith("wtopo: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--cap-value", "nan"], ["--cap-value", "inf"],
+                                   ["--birth-range", "0,inf"], ["--sigma", "inf"]])
+def test_image_rejects_non_finite_config(tmp_path, capsys, flags):
+    djson = tmp_path / "d.json"
+    djson.write_text(json.dumps([{"dim": 0, "points": [[0.0, 2.0]], "essential": [0.0]}]))
+    argv = ["image", "-i", str(djson), "--grid", "2", "--birth-range", "0,10",
+            "--pers-range", "0,10", *flags]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wtopo: error:") and captured.err.count("\n") == 1
+    assert "finite" in captured.err
+
+
 def test_image_requires_ranges(tmp_path, capsys):
     djson = tmp_path / "d.json"
     djson.write_text("[]")

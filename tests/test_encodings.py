@@ -132,6 +132,41 @@ def test_local_cell_diagrams_match_oracle_under_finite_caps(weighted):
     assert capped >= 9
 
 
+@pytest.mark.parametrize("n, weighted, seed", [(1500, False, 69), (500, True, 70)])
+def test_local_cell_diagrams_match_oracle_at_benchmark_size(n, weighted, seed):
+    # the benchmark's sizes and landmark fraction: most cells hold one local
+    # landmark, a few hold several
+    g = random_connected_graph(np.random.default_rng(seed), n, extra=n, weighted=weighted)
+    cover = build_cover(g, select_landmarks(g, 0.05))
+    sizes = [len(m) for m in cover.local_landmarks.values()]
+    assert min(sizes) == 1 and max(sizes) > 1
+    for nu in (0, 1):
+        for dimension in (0, 1):
+            got = local_cell_diagrams(g, cover, max_dim=1, nu=nu, dimension=dimension)
+            assert got == oracle_local_cell_diagrams(g, cover, 1, nu, dimension, np.inf)
+
+
+def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(70), 400, extra=400)
+    cover = build_cover(g, select_landmarks(g, 0.1))
+    several = [l for l, m in cover.local_landmarks.items() if len(m) > 1]
+    assert 0 < len(several) < len(cover.cells)
+    reduced = []
+
+    def counting(f, *args, **kw):
+        reduced.append(f)
+        return compute_persistence(f, *args, **kw)
+
+    monkeypatch.setattr("wtopo.encodings.compute_persistence", counting)
+    got = local_cell_diagrams(g, cover, max_dim=2, dimension=1)
+    assert len(reduced) == len(several)
+    assert [f.scales[0].size for f in reduced] == [len(cover.local_landmarks[l]) for l in several]
+    want = oracle_local_cell_diagrams(g, cover, 2, 0, 1, np.inf)
+    assert got == want
+    assert all(got[l] == want[l] == diagram_of([], [0.0]) for l in cover.cells
+               if l not in several)
+
+
 @pytest.mark.parametrize("max_dim, dimension", [(0, 0), (1, 0), (2, 1)])
 def test_local_cell_diagrams_reject_nu_above_a_cells_landmarks(max_dim, dimension):
     rng = np.random.default_rng(68)

@@ -91,16 +91,6 @@ def test_geodesics_triangle_inequality_random():
             assert np.all(d <= via + 1e-9)
 
 
-def test_bfs_dijkstra_agreement_on_unit_weights():
-    rng = np.random.default_rng(12)
-    for _ in range(25):
-        n = int(rng.integers(2, 25))
-        g = random_graph(rng, n, p=0.3)
-        bfs = geodesics(g, range(n), method="bfs").dists
-        dij = geodesics(g, range(n), method="dijkstra").dists
-        assert np.array_equal(bfs, dij)
-
-
 def test_geodesics_symmetric_on_all_nodes():
     rng = np.random.default_rng(13)
     g = random_graph(rng, 20, p=0.2)

@@ -150,6 +150,14 @@ def test_config_validation():
         PIConfig(4, (0, 1), (0, 1), sigma=0.0)
     with pytest.raises(ValueError):
         PIConfig(4, (0, 1), (0, 1), essential_policy="zap")
+    inf, nan = float("inf"), float("nan")
+    for bad in (dict(birth_range=(0, inf)), dict(birth_range=(-inf, 1)),
+                dict(birth_range=(nan, 1)), dict(persistence_range=(0, inf)),
+                dict(persistence_range=(0, nan)), dict(sigma=inf), dict(sigma=nan),
+                dict(cap_value=inf), dict(cap_value=nan)):
+        kw = dict(grid_resolution=4, birth_range=(0, 1), persistence_range=(0, 1)) | bad
+        with pytest.raises(ValueError, match="finite"):
+            PIConfig(**kw)
 
 
 def test_flatten_row_major():

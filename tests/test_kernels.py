@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from conftest import (diagram_of, oracle_witness_edge_scales, random_connected_graph,
                       random_graph)
 from wtopo import UNION_FIND, Filtration, Graph, compute_persistence, select_landmarks
-import wtopo.complexes
 from wtopo.complexes import (_level_products, _pair_loop, _witness_edge_scales,
-                             relaxation_terms, witness_block_scales)
+                             relaxation_terms)
 from wtopo.graph import connected_components, diameter, geodesics
 
 
@@ -60,14 +59,6 @@ def test_geodesics_subset_of_sources_in_given_order():
     sources = [7, 3, 29, 3]
     assert np.array_equal(geodesics(g, sources).dists,
                           geodesics(g, range(30)).dists[sources])
-
-
-def test_dijkstra_agrees_with_bfs_on_unit_weights():
-    rng = np.random.default_rng(93)
-    g = random_connected_graph(rng, 25, extra=10)
-    bfs = geodesics(g, range(25), method="bfs").dists
-    dij = geodesics(g, range(25), method="dijkstra").dists
-    assert np.array_equal(bfs, dij)
 
 
 def oracle_diameter(g, weighted):
@@ -119,9 +110,9 @@ def test_diameter_computes_few_source_rows(monkeypatch):
     g = random_connected_graph(np.random.default_rng(39), 1500, extra=1500)
     rows = []
 
-    def counting(g, sources, method="auto"):
+    def counting(g, sources):
         rows.extend(sources)
-        return geodesics(g, sources, method)
+        return geodesics(g, sources)
 
     monkeypatch.setattr("wtopo.graph.geodesics", counting)
     got = diameter(g)
@@ -208,34 +199,6 @@ def test_edge_scale_branches_agree_on_a_unit_graph():
     min_size=1, max_size=6)))
 def test_edge_scale_branches_match_oracle_on_small_integer_rows(rows):
     assert_edge_scales_match_oracle(np.array(rows))
-
-
-@pytest.mark.parametrize("chunk", [3, 1 << 20])
-def test_witness_block_scales_match_per_block_oracle(monkeypatch, chunk):
-    # blocks of 1-5 landmarks over random rows with inf entries, so some
-    # witnesses reach fewer than nu landmarks (nu up to 3); a tiny chunk
-    # splits the segment minimum into many steps
-    monkeypatch.setattr(wtopo.complexes, "_SEGMENT_CHUNK", chunk)
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        sizes = rng.integers(int(rng.integers(1, 4)), 6, size=int(rng.integers(1, 6)))
-        n_cols = 12
-        rows = rng.integers(0, 4, size=(sizes.sum(), n_cols)).astype(np.float64)
-        rows[rng.random(size=rows.shape) < 0.25] = np.inf
-        witnesses = [rng.choice(n_cols, int(rng.integers(1, n_cols)), replace=False)
-                     for _ in sizes]
-        for nu in range(min(3, sizes.min()) + 1):
-            block, pairs, scales = witness_block_scales(rows, sizes, witnesses, nu)
-            start = 0
-            for b, (k, cols) in enumerate(zip(sizes, witnesses)):
-                want = oracle_witness_edge_scales(rows[start:start + k, cols].T, nu)
-                start += k
-                i, j = np.triu_indices(k, 1)
-                assert np.array_equal(pairs[block == b], np.column_stack([i, j]))
-                assert np.array_equal(scales[block == b], want[i, j])
-            assert np.all(np.diff(block) >= 0)
-    with pytest.raises(ValueError, match="nu must be"):
-        witness_block_scales(rows, sizes, witnesses, int(sizes.min()) + 1)
 
 
 def oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales):

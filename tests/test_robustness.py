@@ -12,11 +12,13 @@ from wtopo.robustness import LANDMARK_TARGETED, REPORT_COLUMNS
 def test_decode_pairs_enumerates_upper_triangle():
     from itertools import combinations
 
-    from wtopo.robustness import _decode_pairs
+    from wtopo.robustness import _decode_targeted_pairs, _targeted_offsets
 
     for n in (2, 3, 7, 12):
-        total = n * (n - 1) // 2
-        got = _decode_pairs(np.arange(total), n).tolist()
+        marks = np.arange(n)             # every node marked: RANDOM's candidates
+        starts, total = _targeted_offsets(marks, n)
+        assert total == n * (n - 1) // 2
+        got = _decode_targeted_pairs(np.arange(total), starts, marks).tolist()
         assert got == [list(p) for p in combinations(range(n), 2)]
 
 
