@@ -58,8 +58,11 @@ def _load_diagram(path: str) -> PersistenceDiagram:
         return PersistenceDiagram.from_json_obj(json.load(fp))
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, hi = (float(t) for t in text.split(","))
+def _parse_range(flag: str, text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} expects LO,HI, got {text!r}") from None
     return lo, hi
 
 
@@ -69,8 +72,8 @@ def _image_config(args, g: Graph | None) -> PIConfig:
             raise ValueError("--birth-range and --pers-range are required "
                              "when no graph input is available")
         return PIConfig(grid_resolution=args.grid,
-                        birth_range=_parse_range(args.birth_range),
-                        persistence_range=_parse_range(args.pers_range),
+                        birth_range=_parse_range("--birth-range", args.birth_range),
+                        persistence_range=_parse_range("--pers-range", args.pers_range),
                         sigma=args.sigma,
                         essential_policy=args.essential_policy,
                         cap_value=args.cap_value)
@@ -79,9 +82,9 @@ def _image_config(args, g: Graph | None) -> PIConfig:
     cfg = default_config(g, grid_resolution=args.grid, sigma=args.sigma,
                          essential_policy=args.essential_policy)
     if args.birth_range:
-        cfg = replace(cfg, birth_range=_parse_range(args.birth_range))
+        cfg = replace(cfg, birth_range=_parse_range("--birth-range", args.birth_range))
     if args.pers_range:
-        cfg = replace(cfg, persistence_range=_parse_range(args.pers_range))
+        cfg = replace(cfg, persistence_range=_parse_range("--pers-range", args.pers_range))
     if args.cap_value is not None:
         cfg = replace(cfg, cap_value=args.cap_value)
     return cfg

@@ -79,7 +79,7 @@ def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
     The cells partition the nodes, so cutting every edge between two cells
     leaves each cell's induced subgraph as one block of the graph. One
     geodesics pass over that cut, from every cell's local landmarks, gives
-    each cell's rows; Dijkstra distances do not depend on node labels, so
+    each cell's rows; shortest-path distances do not depend on node labels, so
     they equal the rows of the cell's subgraph bit for bit. Each cell's
     filtration is built like the whole graph's, and in dimension 0 every
     cell's H0 comes from one spanning forest.
@@ -122,10 +122,11 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     cover = build_cover(g, select_landmarks(g, fraction))
     diagrams = local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu,
                                    dimension=dimension, max_scale=max_scale)
-    images = {l: persistence_image(d, cfg, dimension).flatten()
-              for l, d in diagrams.items()}
-    return NodeFeatureMatrix(np.array([images[l] for l in cover.cell_of.tolist()]),
-                             LOCAL)
+    images = np.stack([persistence_image(d, cfg, dimension).flatten()
+                       for d in diagrams.values()])
+    position = np.empty(g.num_nodes, dtype=np.intp)    # cell key -> image row
+    position[list(diagrams)] = np.arange(len(diagrams))
+    return NodeFeatureMatrix(images[position[cover.cell_of]], LOCAL)
 
 
 def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,

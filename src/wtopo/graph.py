@@ -19,6 +19,9 @@ from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = np.inf
 _DIAMETER_BATCH = 8         # source rows per bound-tightening step of ``diameter``
+_BFS_LEVEL_CAP = 32         # unit rows deeper than this come from csgraph
+# a BFS distance code has (_BFS_LEVEL_CAP + 1).bit_length() bits, held in uint8
+assert (_BFS_LEVEL_CAP + 1).bit_length() <= 8
 
 
 class GraphParseError(ValueError):
@@ -104,6 +107,32 @@ class Graph:
         order = np.lexsort((tails, heads))
         indptr = np.concatenate([[0], np.cumsum(self.degrees)])
         return csr_matrix((wts[order], tails[order], indptr), shape=(n, n))
+
+    @cached_property
+    def _bfs_tables(self) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
+        # class c > 0 holds the nodes of degree in (2**(c-2), 2**(c-1)], class
+        # 0 the isolated ones. BFS order sorts the nodes by class, so a class
+        # is one slice [lo, hi) of it, and its (2**(c-1), hi - lo) table lists
+        # each node's neighbours in BFS order, padded with row n, which stays 0
+        n, indptr, indices = self.num_nodes, self._csr.indptr, self._csr.indices
+        deg = self.degrees
+        cls = np.where(deg > 0, np.frexp(deg - 1)[1] + 1, 0).astype(np.uint8)
+        order = np.argsort(cls, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        deg, cls = deg[order], cls[order]
+        bounds = np.concatenate([[0], np.cumsum(deg)])     # each node's entries
+        node = np.repeat(np.arange(n), deg)
+        slot = np.arange(bounds[-1]) - bounds[node]
+        nbrs = rank[indices[indptr[order][node] + slot]]
+        tables = []
+        for c in np.unique(cls[cls > 0]).tolist():
+            lo, hi = np.searchsorted(cls, [c, c + 1]).tolist()
+            a, b = bounds[lo], bounds[hi]
+            table = np.full((1 << (c - 1), hi - lo), n, dtype=np.intp)
+            table[slot[a:b], node[a:b] - lo] = nbrs[a:b]
+            tables.append((lo, hi, table))
+        return rank, tables
 
     @cached_property
     def _covers(self) -> dict:
@@ -231,16 +260,74 @@ def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> G
 def geodesics(g: Graph, sources: Sequence[int]) -> DistanceMatrix:
     """Shortest-path rows from each source node.
 
-    Uses breadth-first traversal when all weights are 1 and Dijkstra otherwise.
+    Uses bit-parallel breadth-first search when all weights are 1 (csgraph's
+    BFS for rows too deep for it) and Dijkstra otherwise.
     """
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
         raise ValueError("sources must be non-empty")
     if src.min() < 0 or src.max() >= g.num_nodes:
         raise ValueError("source ids outside [0, N)")
-    dists = csgraph.dijkstra(g._csr, directed=True, indices=src,
-                             unweighted=g.unit_weights)
+    dists = (_unit_rows(g, src) if g.unit_weights
+             else csgraph.dijkstra(g._csr, directed=True, indices=src))
     return DistanceMatrix(tuple(int(s) for s in src), dists)
+
+
+def _unit_rows(g: Graph, src: np.ndarray) -> np.ndarray:
+    """Unit-weight rows by level-synchronous BFS from up to 64 sources at once,
+    source j being bit j % 64 of word j // 64 (Then et al. 2014, "The More the
+    Merrier"; Akiba, Iwata & Yoshida 2013).
+
+    Each level ORs the frontier words of every node's neighbours and keeps the
+    bits not seen before; a pair first seen at level l gets distance l, written
+    into bit planes. Once the levels run exceed one per source and word, or
+    reach ``_BFS_LEVEL_CAP``, the same sources go to csgraph's BFS instead. A
+    level over every node and word measured at most about a third of one
+    source's heap BFS (paths, grids, the benchmark's graphs), so the levels
+    spent before that fallback cost at most about a third of the fallback,
+    and deep graphs such as long paths never make the loop quadratic.
+    """
+    n, k = g.num_nodes, src.size
+    words = -(-k // 64)
+    rank, tables = g._bfs_tables
+    col = np.arange(k)
+    front = np.zeros((n + 1, words), dtype=np.uint64)
+    np.bitwise_or.at(front, (rank[src], col // 64),
+                     np.left_shift(np.uint64(1), (col % 64).astype(np.uint64)))
+    unseen = ~front[:n]
+    # bits past k count as seen, so the loop ends once every real pair is
+    unseen[:, -1] &= np.uint64(2 ** 64 - 1) >> np.uint64(-k % 64)
+    new, reach = front[:n], np.zeros((n, words), dtype=np.uint64)
+    planes = []                                 # bit b of every distance
+    depth = 0
+    while unseen.any():
+        if depth == _BFS_LEVEL_CAP or depth * words > k:
+            return csgraph.dijkstra(g._csr, directed=True, indices=src, unweighted=True)
+        for lo, hi, table in tables:
+            np.bitwise_or.reduce(np.take(front, table, axis=0), axis=0, out=reach[lo:hi])
+        np.bitwise_and(reach, unseen, out=new)
+        if not new.any():                       # every source's component is done
+            break
+        depth += 1
+        unseen ^= new
+        planes += [np.zeros_like(new) for _ in range(depth.bit_length() - len(planes))]
+        for b, plane in enumerate(planes):
+            if depth >> b & 1:
+                plane |= new
+    # pairs never seen get the all-ones code, above every distance found
+    width = (depth + 1).bit_length()
+    planes += [np.zeros_like(new) for _ in range(width - len(planes))]
+    code = np.zeros((n, 64 * words), dtype=np.uint8)
+    for b, plane in enumerate(planes):
+        plane |= unseen
+        bits = np.unpackbits(plane.astype("<u8", copy=False).view(np.uint8), axis=1,
+                             bitorder="little")
+        code |= np.multiply(bits, np.uint8(1 << b), out=bits)
+    dists = np.empty((k, n))
+    dists[...] = code[rank, :k].T
+    if unseen.any():
+        np.putmask(dists, dists == 2 ** width - 1, UNREACHABLE)
+    return dists
 
 
 def all_pairs(g: Graph) -> DistanceMatrix:
@@ -276,7 +363,10 @@ def diameter(g: Graph) -> float:
         if cand.size == 0:
             return best
         key = -hi[cand] if turn % 2 == 0 else lo[cand]
-        batch = cand[np.argsort(key, kind="stable")[:_DIAMETER_BATCH]]
+        # a whole BFS word of sources once every candidate's eccentricity is
+        # known to be within the level cap, so a full word never hits it
+        size = 64 if g.unit_weights and hi[cand].max() <= _BFS_LEVEL_CAP else _DIAMETER_BATCH
+        batch = cand[np.argsort(key, kind="stable")[:size]]
         dists = geodesics(g, batch).dists
         finite = np.isfinite(dists)
         ecc = np.where(finite, dists, -np.inf).max(axis=1)[:, None]
@@ -299,11 +389,14 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
 
     Ties between equal-size components go to the one containing the smallest
     original index. Returns (subgraph, old_to_new) where old_to_new[i] is the
-    new index of node i or -1 if i was dropped.
+    new index of node i or -1 if i was dropped. A connected graph is returned
+    as it is, so the CSR, components and BFS tables it cached are reused.
     """
     labels = g._component_labels
     best = np.argmax(np.bincount(labels))
     keep = np.flatnonzero(labels == best)
+    if keep.size == g.num_nodes:
+        return g, keep
     old_to_new = np.full(g.num_nodes, -1, dtype=np.int64)
     old_to_new[keep] = np.arange(keep.size)
     inner = labels[g.edge_array[:, 0]] == best        # both ends share a component

@@ -116,6 +116,15 @@ def test_image_rejects_non_finite_config(tmp_path, capsys, flags):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--birth-range", "--pers-range"])
+@pytest.mark.parametrize("text", ["1,2,3", "1", "a,b"])
+def test_malformed_range_is_a_one_line_error(cycle_path, capsys, flag, text):
+    assert run(["global-features", "-i", cycle_path, flag, text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wtopo: error: {flag} expects LO,HI, got {text!r}\n"
+
+
 def test_image_requires_ranges(tmp_path, capsys):
     djson = tmp_path / "d.json"
     djson.write_text("[]")

@@ -1,18 +1,21 @@
 """Numeric kernels (shortest paths, components, witness edge scales, H0 merges)
-checked against independent oracles: networkx and plain-python loops."""
+checked against independent oracles: networkx, csgraph's heap BFS and plain-python
+loops."""
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph, csr_matrix
 
 from conftest import (diagram_of, oracle_witness_edge_scales, random_connected_graph,
                       random_graph)
-from wtopo import UNION_FIND, Filtration, Graph, compute_persistence, select_landmarks
+from wtopo import (UNION_FIND, Filtration, Graph, build_cover, compute_persistence,
+                   select_landmarks)
 from wtopo.complexes import (_level_products, _pair_loop, _witness_edge_scales,
                              relaxation_terms)
-from wtopo.graph import connected_components, diameter, geodesics
+from wtopo.graph import _DIAMETER_BATCH, connected_components, diameter, geodesics
 
 
 def to_networkx(g):
@@ -59,6 +62,85 @@ def test_geodesics_subset_of_sources_in_given_order():
     sources = [7, 3, 29, 3]
     assert np.array_equal(geodesics(g, sources).dists,
                           geodesics(g, range(30)).dists[sources])
+
+
+def csgraph_unit_rows(g, sources):
+    """csgraph's heap BFS on a CSR matrix built here from the edge list."""
+    u, v = g.edge_array.T
+    adj = csr_matrix((np.ones(2 * u.size), (np.r_[u, v], np.r_[v, u])),
+                     shape=(g.num_nodes, g.num_nodes))
+    return csgraph.dijkstra(adj, directed=True, indices=sources, unweighted=True)
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def grid_graph(rows, cols):
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.vstack([np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()]),
+                       np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])])
+    return Graph.from_edges(rows * cols, pairs.tolist())
+
+
+@st.composite
+def unit_graph_and_sources(draw):
+    n = draw(st.integers(1, 80))
+    chain = draw(st.integers(0, n - 1))         # a path 0-1-...-chain gives deep rows
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))      # few edges: components, isolated nodes
+    edges = {(i, i + 1) for i in range(chain)} | {(min(p), max(p)) for p in pairs
+                                                   if p[0] != p[1]}
+    k = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    return Graph.from_edges(n, sorted(edges)), sources
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unit_graph_and_sources())
+@example((Graph.from_edges(1, []), [0] * 65))
+@example((Graph.from_edges(4, [(0, 1), (1, 2)]), [3, 0, 3] * 43))
+def test_unit_rows_equal_csgraph(case):
+    g, sources = case
+    got = geodesics(g, sources).dists
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, csgraph_unit_rows(g, sources))
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_unit_rows_past_255_equal_csgraph(n):
+    g = path_graph(n)
+    sources = [0, n - 1, n // 2, 0, *range(1, n, n // 70)]
+    assert np.array_equal(geodesics(g, sources).dists, csgraph_unit_rows(g, sources))
+
+
+def count_unit_csgraph_calls(monkeypatch):
+    calls = []
+    dijkstra = csgraph.dijkstra
+
+    def counting(*args, **kwargs):
+        if kwargs.get("unweighted"):
+            calls.append(len(kwargs["indices"]))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counting)
+    return calls
+
+
+def test_work_bound_hands_deep_rows_to_csgraph(monkeypatch):
+    g = path_graph(2000)
+    want = csgraph_unit_rows(g, range(64))
+    calls = count_unit_csgraph_calls(monkeypatch)
+    assert np.array_equal(geodesics(g, range(64)).dists, want)
+    assert calls == [64]
+
+
+def test_work_bound_keeps_shallow_rows_bit_parallel(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(39), 1500, extra=1500)
+    calls = count_unit_csgraph_calls(monkeypatch)
+    build_cover(g, select_landmarks(g, 0.05))
+    diameter(g)
+    assert calls == []
 
 
 def oracle_diameter(g, weighted):
@@ -118,6 +200,32 @@ def test_diameter_computes_few_source_rows(monkeypatch):
     got = diameter(g)
     assert len(rows) < g.num_nodes // 2
     assert got == geodesics(g, range(g.num_nodes)).diameter
+
+
+def diameter_batches(monkeypatch, g):
+    batches = []
+
+    def counting(g, sources):
+        batches.append(len(sources))
+        return geodesics(g, sources)
+
+    monkeypatch.setattr("wtopo.graph.geodesics", counting)
+    return diameter(g), batches
+
+
+@pytest.mark.parametrize("g, want, most_rows", [(path_graph(2000), 1999.0, 16),
+                                               (grid_graph(20, 100), 118.0, 48)])
+def test_diameter_of_deep_graphs_keeps_small_batches(monkeypatch, g, want, most_rows):
+    got, batches = diameter_batches(monkeypatch, g)
+    assert got == want
+    assert sum(batches) <= most_rows
+
+
+def test_weighted_diameter_keeps_batches_of_eight(monkeypatch):
+    g = random_connected_graph(np.random.default_rng(40), 500, extra=500, weighted=True)
+    got, batches = diameter_batches(monkeypatch, g)
+    assert got == geodesics(g, range(g.num_nodes)).diameter
+    assert max(batches) == _DIAMETER_BATCH
 
 
 def test_connected_components_match_networkx():
