@@ -32,6 +32,10 @@ def _atomic_write(path: str, data: str | bytes) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".wtopo-", suffix=".tmp")
     try:
+        # mkstemp makes the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fp:
             fp.write(data)
         os.replace(tmp, path)

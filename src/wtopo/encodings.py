@@ -15,12 +15,11 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import _witness_complex, witness_filtration
+from .complexes import _witness_complex
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram, block_h0,
-                          compute_persistence)
+from .persistence import REDUCTION, PersistenceDiagram, block_h0, compute_persistence
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -71,46 +70,44 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def local_cell_diagrams(g: Graph, cover: Cover, max_dim: int = 1, nu: int = 0,
-                        dimension: int = 0,
-                        max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
-    """Lazy-witness diagram of the induced subgraph of every cover cell.
-
-    The cells partition the nodes, so cutting every edge between two cells
-    leaves each cell's induced subgraph as one block of the graph. One
-    geodesics pass over that cut, from every cell's local landmarks, gives
-    each cell's rows; shortest-path distances do not depend on node labels, so
-    they equal the rows of the cell's subgraph bit for bit. Each cell's
-    filtration is built like the whole graph's, and in dimension 0 every
-    cell's H0 comes from one spanning forest.
-    """
+def _witness_diagrams(blocks: list[np.ndarray], max_dim: int, nu: int, dimension: int,
+                      max_scale: float) -> list[PersistenceDiagram]:
+    """Lazy-witness diagram of each (witnesses, landmarks) block of geodesic
+    rows. A block with one landmark is one vertex and needs no filtration; in
+    dimension 0 every block's H0 comes from one spanning forest."""
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
-    ends = cover.cell_of[g.edge_array]
-    same = ends[:, 0] == ends[:, 1]
-    cut = Graph(g.num_nodes, g.edge_array[same], g.weights[same])
-    marks = list(cover.local_landmarks.values())
-    rows = geodesics(cut, np.concatenate(marks)).dists
-    sizes = np.array([len(m) for m in marks])
+    sizes = np.array([rows.shape[1] for rows in blocks])
     if not 0 <= nu <= sizes.min():
         raise ValueError("nu must be in [0, num_landmarks]")
-    # cell b owns the next sizes[b] rows and is witnessed by its members; a
-    # cell with one local landmark is one vertex and needs no filtration
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    filts = {b: _witness_complex(rows[s:s + k, cover.cells[l]].T, max_dim, max_scale, nu)
-             for b, (l, s, k) in enumerate(zip(cover.local_landmarks, starts, sizes.tolist()))
-             if k > 1}
-    # every cell's H0 from one spanning forest over the cells' edges, which
-    # come in (cell, scale, vertices) order; in higher dimensions it stands
-    # only for the one-vertex cells (one essential 0), so it gets no edges
-    no_edges = (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64), np.empty(0))
-    edges = [(np.full(f.scales[1].size, b), f.vertices[1], f.scales[1])
-             for b, f in filts.items() if max_dim and not dimension]
-    diagrams = block_h0(sizes, *map(np.concatenate, zip(no_edges, *edges)))
+    filts = {b: _witness_complex(rows, max_dim, max_scale, nu)
+             for b, rows in enumerate(blocks) if rows.shape[1] > 1}
+    # in higher dimensions the forest stands only for the one-vertex blocks
+    # (one essential 0), so it gets no edges
+    diagrams = block_h0(sizes, {} if dimension else filts)
     if dimension:
         for b, f in filts.items():
             diagrams[b] = compute_persistence(f, REDUCTION)
-    return dict(zip(cover.local_landmarks, diagrams))
+    return diagrams
+
+
+def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: int = 0,
+                        max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
+    """Lazy-witness diagram of the induced subgraph of every cover cell.
+
+    In the cover's cut graph each cell's induced subgraph is one block, so
+    one geodesics pass over it, from every cell's local landmarks, gives each
+    cell's rows; shortest-path distances do not depend on node labels, so
+    they equal the rows of the cell's subgraph bit for bit. Each cell is
+    witnessed by its members.
+    """
+    marks = list(cover.local_landmarks.values())
+    rows = geodesics(cover.cut, np.concatenate(marks)).dists
+    starts = np.cumsum([0] + [len(m) for m in marks]).tolist()
+    blocks = [rows[s:e, cover.cells[l]].T
+              for l, s, e in zip(cover.local_landmarks, starts, starts[1:])]
+    return dict(zip(cover.local_landmarks,
+                    _witness_diagrams(blocks, max_dim, nu, dimension, max_scale)))
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -120,7 +117,7 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     node of the cell (nodes sharing a cell get identical rows)."""
     cfg = resolve_config(cfg, g)
     cover = build_cover(g, select_landmarks(g, fraction))
-    diagrams = local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu,
+    diagrams = local_cell_diagrams(cover, max_dim=max_dim, nu=nu,
                                    dimension=dimension, max_scale=max_scale)
     images = np.stack([persistence_image(d, cfg, dimension).flatten()
                        for d in diagrams.values()])
@@ -148,9 +145,7 @@ def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
     cover is built from ``fraction`` when not given."""
     if cover is None:
         cover = build_cover(g, select_landmarks(g, fraction))
-    filt = witness_filtration(cover.rows.between_sources, cover.rows.dists.T, max_dim,
-                              max_scale, nu=nu)
-    return compute_persistence(filt, UNION_FIND if dimension == 0 else REDUCTION)
+    return _witness_diagrams([cover.rows.dists.T], max_dim, nu, dimension, max_scale)[0]
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

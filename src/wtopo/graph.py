@@ -99,14 +99,13 @@ class Graph:
 
     @cached_property
     def _csr(self) -> csr_matrix:
-        # symmetric CSR: every edge appears in both directions
+        # symmetric CSR: every edge appears in both directions; the pairs are
+        # unique, and scipy's conversion from coordinates sorts each row
         n = self.num_nodes
         heads = np.concatenate([self.edge_array[:, 0], self.edge_array[:, 1]])
         tails = np.concatenate([self.edge_array[:, 1], self.edge_array[:, 0]])
-        wts = np.concatenate([self.weights, self.weights])
-        order = np.lexsort((tails, heads))
-        indptr = np.concatenate([[0], np.cumsum(self.degrees)])
-        return csr_matrix((wts[order], tails[order], indptr), shape=(n, n))
+        return csr_matrix((np.concatenate([self.weights, self.weights]), (heads, tails)),
+                          shape=(n, n))
 
     @cached_property
     def _bfs_tables(self) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:

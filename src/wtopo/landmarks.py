@@ -32,7 +32,8 @@ class Cover:
     node-to-assigned-landmark distance; ``c_epsilon`` the largest cell size.
     ``local_landmarks`` re-runs the degree selection inside each induced cell
     subgraph. ``cell_of[v]`` is the key of node v's cell; ``rows`` holds the
-    landmark geodesic rows, for the witness filtration. Neither is serialized.
+    landmark geodesic rows, for the witness filtration; ``cut`` is the graph
+    without its cross-cell edges. None of the three is serialized.
     """
 
     cells: dict[int, tuple[int, ...]]
@@ -43,6 +44,7 @@ class Cover:
     self_covered: tuple[int, ...]
     cell_of: np.ndarray = field(compare=False, repr=False)   # (N,) int64
     rows: DistanceMatrix = field(compare=False, repr=False)  # (L, N)
+    cut: Graph = field(compare=False, repr=False)            # same-cell edges only
 
     def to_json(self) -> str:
         obj = {
@@ -98,16 +100,16 @@ def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
     epsilon_pairwise = 0.5 * float(finite.max()) if finite.size else 0.0
     cover_radius = float(nearest_dist[reachable].max()) if reachable.any() else 0.0
 
-    # degree within each induced cell subgraph: count edges staying in a cell
+    # a cell keeps exactly the edges whose two ends it owns (still sorted, valid)
     same = cell_of[g.edge_array[:, 0]] == cell_of[g.edge_array[:, 1]]
-    local_deg = np.bincount(g.edge_array[same].ravel(), minlength=g.num_nodes)
+    cut = Graph(g.num_nodes, g.edge_array[same], g.weights[same])
 
     # one stable sort groups nodes by cell key with ids ascending; the lexsort
     # groups them the same way, ranked by (-local degree, id) inside a cell
     by_id = np.argsort(cell_of, kind="stable")
     keys, starts = np.unique(cell_of[by_id], return_index=True)
     members = dict(zip(keys.tolist(), np.split(by_id, starts[1:])))
-    by_rank = np.lexsort((-local_deg, cell_of))
+    by_rank = np.lexsort((-cut.degrees, cell_of))
     ranked = dict(zip(keys.tolist(), np.split(by_rank, starts[1:])))
     order = np.concatenate([land, unreachable_nodes]).tolist()
     cells = {k: tuple(members[k].tolist()) for k in order}
@@ -124,4 +126,5 @@ def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
         self_covered=tuple(unreachable_nodes.tolist()),
         cell_of=cell_of,
         rows=rows,
+        cut=cut,
     )

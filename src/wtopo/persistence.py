@@ -103,27 +103,23 @@ class PersistenceDiagram:
         return cls(pts, ess)
 
 
-def _forest_h0(f: Filtration) -> PersistenceDiagram:
-    """H0 of a filtration whose vertices all enter at 0."""
-    edges = f.vertices[1] if f.max_dim else np.empty((0, 2), dtype=np.int64)
-    scales = f.scales[1] if f.max_dim else _EMPTY_BIRTHS
-    return block_h0(np.array([f.scales[0].size]), np.zeros(scales.size, dtype=np.int64),
-                    edges, scales)[0]
-
-
-def block_h0(sizes: np.ndarray, block: np.ndarray, edges: np.ndarray,
-             scales: np.ndarray) -> list[PersistenceDiagram]:
+def block_h0(sizes: np.ndarray, filts: dict[int, Filtration]) -> list[PersistenceDiagram]:
     """H0 of several filtrations at once, block b on vertices 0..sizes[b]-1,
-    all entering at 0. Edge e joins ``edges[e]`` of block ``block[e]`` at
-    ``scales[e]``; edges come in (block, scale, vertices) order, so each
-    block's edges are in its filtration order.
+    all entering at 0, with filtration ``filts[b]`` (blocks ascending; a
+    block without one has no edges).
 
     One minimum spanning forest over the block-diagonal graph gives each
     block one point (0, w) per forest edge of scale w and one essential 0 per
-    component (Kruskal with the elder rule). Edges are weighted by their rank
-    1..m, so the forest follows the filtration order, ties included, and no
-    weight is the 0 that csgraph would read as a missing edge.
+    component (Kruskal with the elder rule). Edges, taken in (block, scale,
+    vertices) order, are weighted by their rank 1..m, so the forest follows
+    each filtration's order, ties included, and no weight is the 0 that
+    csgraph would read as a missing edge.
     """
+    parts = [(np.full(f.scales[1].size, b), f.vertices[1], f.scales[1])
+             for b, f in filts.items() if f.max_dim]
+    block, edges, scales = map(np.concatenate, zip(
+        (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64), _EMPTY_BIRTHS),
+        *parts))
     n = int(sizes.sum())
     tree = np.empty(0, dtype=np.int64)
     if block.size:          # csgraph costs about 0.2 ms even without edges
@@ -204,7 +200,8 @@ def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
         if homology_dims is not None and any(d > 0 for d in homology_dims):
             raise ValueError("union-find computes dimension-0 persistence only")
         homology_dims = (0,) if homology_dims is None else homology_dims
-        diagram = _reduction(f) if f.scales[0].any() else _forest_h0(f)
+        diagram = (_reduction(f) if f.scales[0].any()
+                   else block_h0(np.array([f.scales[0].size]), {0: f})[0])
     elif algorithm == REDUCTION:
         diagram = _reduction(f)
     else:

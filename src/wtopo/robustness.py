@@ -163,7 +163,7 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
     def diagrams(graph: Graph, cover: Cover) -> tuple[dict, PersistenceDiagram]:
         # cell diagrams and the global diagram, both from the one cover
         kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
-        return (local_cell_diagrams(graph, cover, **kw),
+        return (local_cell_diagrams(cover, **kw),
                 global_diagram(graph, fraction, cover=cover, **kw))
 
     ls = select_landmarks(g, fraction)

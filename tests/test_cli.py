@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -190,6 +192,24 @@ def test_local_features_failed_write_leaves_no_file(cycle_path, tmp_path,
     assert "error" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.edges", "out"]
     assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o007], ids=oct)
+def test_outputs_get_the_mode_a_plain_open_gives(cycle_path, tmp_path, umask):
+    # a new file gets 0666 less the umask, a replaced file keeps its mode
+    fresh, kept, plain = tmp_path / "c.json", tmp_path / "kept.json", tmp_path / "plain"
+    saved = os.umask(umask)
+    try:
+        kept.write_text("")
+        kept.chmod(0o604)
+        for out in (fresh, kept):
+            assert run(["cover", "-i", cycle_path, "--fraction", "0.34", "-o", str(out)]) == 0
+        with open(plain, "w"):
+            pass
+    finally:
+        os.umask(saved)
+    mode = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (fresh, kept, plain)}
+    assert mode == {"c.json": 0o666 & ~umask, "kept.json": 0o604, "plain": 0o666 & ~umask}
 
 
 def test_perturb_prints_seed_and_is_deterministic(cycle_path, tmp_path, capsys):

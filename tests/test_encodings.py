@@ -12,7 +12,7 @@ from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    persistence_image, select_landmarks, topo_loss,
                    topo_loss_grad, vr_filtration, witness_filtration)
 from wtopo.encodings import NodeFeatureMatrix
-from wtopo.persistence import UNION_FIND
+from wtopo.persistence import REDUCTION, UNION_FIND
 
 
 def six_cycle():
@@ -69,7 +69,7 @@ def test_local_matches_staged_pipeline():
     cover = build_cover(g, ls)
     expected = np.zeros_like(feats.values)
     for l, members in cover.cells.items():
-        diag = local_cell_diagrams(g, cover)[l]
+        diag = local_cell_diagrams(cover)[l]
         img = persistence_image(diag, cfg, 0)
         expected[list(members)] = img.flatten()
     assert np.array_equal(feats.values, expected)
@@ -96,7 +96,7 @@ def test_local_cell_diagrams_match_per_cell_oracle():
         for nu in range(min(2, fewest) + 1):
             for dimension in (0, 1):
                 max_scale = float(rng.choice([np.inf, 2.0]))
-                got = local_cell_diagrams(g, cover, max_dim=2, nu=nu,
+                got = local_cell_diagrams(cover, max_dim=2, nu=nu,
                                           dimension=dimension, max_scale=max_scale)
                 want = oracle_local_cell_diagrams(g, cover, 2, nu, dimension, max_scale)
                 assert list(got) == list(want) and got == want
@@ -124,7 +124,7 @@ def test_local_cell_diagrams_match_oracle_under_finite_caps(weighted):
                           float(deaths[0] + deaths[-1]) / 2.0, 0.0):
             for nu in range(min(2, fewest) + 1):
                 for dimension in (0, 1):
-                    got = local_cell_diagrams(g, cover, max_dim=2, nu=nu,
+                    got = local_cell_diagrams(cover, max_dim=2, nu=nu,
                                               dimension=dimension, max_scale=max_scale)
                     assert got == oracle_local_cell_diagrams(g, cover, 2, nu, dimension,
                                                              max_scale)
@@ -142,7 +142,7 @@ def test_local_cell_diagrams_match_oracle_at_benchmark_size(n, weighted, seed):
     assert min(sizes) == 1 and max(sizes) > 1
     for nu in (0, 1):
         for dimension in (0, 1):
-            got = local_cell_diagrams(g, cover, max_dim=1, nu=nu, dimension=dimension)
+            got = local_cell_diagrams(cover, max_dim=1, nu=nu, dimension=dimension)
             assert got == oracle_local_cell_diagrams(g, cover, 1, nu, dimension, np.inf)
 
 
@@ -158,7 +158,7 @@ def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
         return compute_persistence(f, *args, **kw)
 
     monkeypatch.setattr("wtopo.encodings.compute_persistence", counting)
-    got = local_cell_diagrams(g, cover, max_dim=2, dimension=1)
+    got = local_cell_diagrams(cover, max_dim=2, dimension=1)
     assert len(reduced) == len(several)
     assert [f.scales[0].size for f in reduced] == [len(cover.local_landmarks[l]) for l in several]
     want = oracle_local_cell_diagrams(g, cover, 2, 0, 1, np.inf)
@@ -174,10 +174,50 @@ def test_local_cell_diagrams_reject_nu_above_a_cells_landmarks(max_dim, dimensio
     cover = build_cover(g, select_landmarks(g, 0.1))
     nu = min(len(m) for m in cover.local_landmarks.values()) + 1
     with pytest.raises(ValueError) as got:
-        local_cell_diagrams(g, cover, max_dim=max_dim, nu=nu, dimension=dimension)
+        local_cell_diagrams(cover, max_dim=max_dim, nu=nu, dimension=dimension)
     with pytest.raises(ValueError) as want:
         oracle_local_cell_diagrams(g, cover, max_dim, nu, dimension, np.inf)
     assert str(got.value) == str(want.value)
+
+
+def _diagram_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_global_diagram_matches_the_staged_witness_path():
+    # the oracle: one witness filtration over the cover's landmark rows, then
+    # union-find in dimension 0 and the reduction above it; errors included
+    rng = np.random.default_rng(71)
+    cases = 0
+    for trial in range(9):
+        n = int(rng.integers(6, 30))
+        g = random_connected_graph(rng, n, extra=n // 2, weighted=trial % 3 == 1)
+        if trial % 3 == 2:               # two components and an isolated node
+            h = random_connected_graph(rng, n // 2, extra=2, weighted=True)
+            g = Graph.from_edges(n + n // 2 + 1, [
+                *zip(*g.edge_array.T, g.weights),
+                *zip(*(h.edge_array + n).T, h.weights)])
+        for ls in (select_landmarks(g, float(rng.uniform(0.2, 0.6))),
+                   LandmarkSet((int(rng.integers(g.num_nodes)),), 0.5)):
+            cover = build_cover(g, ls)
+            rows = cover.rows
+            for max_dim in range(4):
+                for dimension in (0, 1):
+                    for nu in range(3):
+                        for max_scale in (np.inf, float(rng.uniform(0.5, 3.0))):
+                            got = _diagram_or_error(lambda: global_diagram(
+                                g, ls.fraction, max_dim=max_dim, dimension=dimension,
+                                nu=nu, max_scale=max_scale, cover=cover))
+                            want = _diagram_or_error(lambda: compute_persistence(
+                                witness_filtration(rows.between_sources, rows.dists.T,
+                                                   max_dim, max_scale, nu=nu),
+                                UNION_FIND if dimension == 0 else REDUCTION))
+                            assert got == want
+                            cases += isinstance(want, tuple)
+    assert cases > 0
 
 
 def test_global_deterministic():

@@ -359,3 +359,22 @@ def test_graph_builders_match_dict_oracles():
         # rows of any ordinary magnitude keep the unscaled weights bit for bit
         y = rng.normal(size=x.shape) * 10.0 ** rng.uniform(-100, 100, size=(n, 1))
         assert _outcome(build_knn_graph, y, k) == _outcome(oracle_build_knn_graph, y, k)
+
+
+def test_csr_matches_lexsorted_reference():
+    # both edge directions lexsorted by (head, tail); each row's slice of
+    # indptr counted from the sorted heads
+    rng = np.random.default_rng(33)
+    graphs = [Graph.from_edges(1), Graph.from_edges(5),
+              Graph.from_edges(7, [(0, 3), (3, 6, 2.5), (1, 6)])]
+    graphs += [random_graph(rng, int(rng.integers(2, 40)), p=float(rng.uniform(0.0, 0.4)),
+                            weighted=bool(k % 2)) for k in range(40)]
+    for g in graphs:
+        u, v = g.edge_array.T
+        heads, tails = np.concatenate([u, v]), np.concatenate([v, u])
+        order = np.lexsort((tails, heads))
+        csr = g._csr
+        assert csr.shape == (g.num_nodes, g.num_nodes)
+        assert np.array_equal(csr.indptr, np.searchsorted(heads[order], np.arange(g.num_nodes + 1)))
+        assert np.array_equal(csr.indices, tails[order])
+        assert np.array_equal(csr.data, np.concatenate([g.weights, g.weights])[order])

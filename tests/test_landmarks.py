@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,26 @@ def test_cover_rows_cells_and_local_landmarks_match_oracles():
             ranked = sorted(cell, key=lambda v: (-deg[v], v))
             count = landmark_count(len(cell), ls.fraction)
             assert cover.local_landmarks[l] == tuple(ranked[:count])
+
+
+def test_cover_cut_holds_exactly_the_same_cell_edges():
+    rng = np.random.default_rng(25)
+    for trial in range(30):
+        n = int(rng.integers(1, 40))
+        g = random_graph(rng, n, p=0.15, weighted=bool(trial % 2))
+        cover = build_cover(g, select_landmarks(g, float(rng.uniform(0.05, 0.5))))
+        same = [e for e, (u, v) in enumerate(g.edge_array.tolist())
+                if cover.cell_of[u] == cover.cell_of[v]]
+        assert cover.cut.num_nodes == n
+        assert np.array_equal(cover.cut.edge_array, g.edge_array[same].reshape(-1, 2))
+        assert np.array_equal(cover.cut.weights, g.weights[same])
+
+    # the cut is neither compared nor serialized
+    g = six_cycle()
+    cover = build_cover(g, LandmarkSet((0, 3), 2 / 6))
+    other = replace(cover, cut=g)
+    assert other == cover and other.to_json() == cover.to_json()
+    assert "cut=" not in repr(cover)
 
 
 def test_cover_serialization_deterministic():
