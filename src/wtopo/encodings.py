@@ -70,18 +70,18 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _witness_diagrams(blocks: list[np.ndarray], max_dim: int, nu: int, dimension: int,
-                      max_scale: float) -> list[PersistenceDiagram]:
-    """Lazy-witness diagram of each (witnesses, landmarks) block of geodesic
-    rows. A block with one landmark is one vertex and needs no filtration; in
-    dimension 0 every block's H0 comes from one spanning forest."""
+def _witness_diagrams(sizes: np.ndarray, blocks: dict[int, np.ndarray], max_dim: int,
+                      nu: int, dimension: int, max_scale: float) -> list[PersistenceDiagram]:
+    """Lazy-witness diagram of each of ``sizes.size`` blocks of geodesic rows,
+    block b over ``sizes[b]`` landmarks. ``blocks[b]`` holds the (witnesses,
+    landmarks) rows of every block with at least two landmarks; a block with
+    one landmark is one vertex and needs no rows. In dimension 0 every
+    block's H0 comes from one spanning forest."""
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
-    sizes = np.array([rows.shape[1] for rows in blocks])
     if not 0 <= nu <= sizes.min():
         raise ValueError("nu must be in [0, num_landmarks]")
-    filts = {b: _witness_complex(rows, max_dim, max_scale, nu)
-             for b, rows in enumerate(blocks) if rows.shape[1] > 1}
+    filts = {b: _witness_complex(rows, max_dim, max_scale, nu) for b, rows in blocks.items()}
     # in higher dimensions the forest stands only for the one-vertex blocks
     # (one essential 0), so it gets no edges
     diagrams = block_h0(sizes, {} if dimension else filts)
@@ -101,13 +101,14 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     they equal the rows of the cell's subgraph bit for bit. Each cell is
     witnessed by its members.
     """
-    marks = list(cover.local_landmarks.values())
+    keys, marks = zip(*cover.local_landmarks.items())
     rows = geodesics(cover.cut, np.concatenate(marks)).dists
-    starts = np.cumsum([0] + [len(m) for m in marks]).tolist()
-    blocks = [rows[s:e, cover.cells[l]].T
-              for l, s, e in zip(cover.local_landmarks, starts, starts[1:])]
-    return dict(zip(cover.local_landmarks,
-                    _witness_diagrams(blocks, max_dim, nu, dimension, max_scale)))
+    sizes = np.array([len(m) for m in marks])
+    starts = np.cumsum(sizes) - sizes
+    blocks = {b: rows[s:s + k, cover.cells[l]].T
+              for b, (l, s, k) in enumerate(zip(keys, starts.tolist(), sizes.tolist()))
+              if k > 1}
+    return dict(zip(keys, _witness_diagrams(sizes, blocks, max_dim, nu, dimension, max_scale)))
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -145,7 +146,10 @@ def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
     cover is built from ``fraction`` when not given."""
     if cover is None:
         cover = build_cover(g, select_landmarks(g, fraction))
-    return _witness_diagrams([cover.rows.dists.T], max_dim, nu, dimension, max_scale)[0]
+    rows = cover.rows.dists.T
+    sizes = np.array([rows.shape[1]])
+    return _witness_diagrams(sizes, {0: rows} if sizes[0] > 1 else {}, max_dim, nu,
+                             dimension, max_scale)[0]
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

@@ -1,4 +1,4 @@
-"""Persistence diagrams (spanning-forest H0 and matrix reduction) and
+"""Persistence diagrams (spanning-forest H0 and coboundary reduction) and
 matching-based diagram distances (bottleneck, p-Wasserstein)."""
 
 from __future__ import annotations
@@ -60,20 +60,24 @@ class PersistenceDiagram:
             for d in self.dims())
 
     def to_json_obj(self) -> list[dict]:
-        return [{"dim": d,
-                 "points": [[float(b), float(dd)] for b, dd in self.points_in(d)],
-                 "essential": [float(b) for b in self.essential_in(d)]}
+        return [{"dim": d, "points": self.points_in(d).tolist(),
+                 "essential": self.essential_in(d).tolist()}
                 for d in self.dims()]
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "PersistenceDiagram":
         if not isinstance(obj, list):
             raise ValueError("a diagram must be a JSON list of per-dimension objects")
-        points, essential = {}, {}
+        points, essential, seen = {}, {}, set()
         for entry in obj:
             if not isinstance(entry, dict) or type(entry.get("dim")) is not int:
                 raise ValueError("each diagram entry must be an object with an integer 'dim'")
             d, pts, ess = entry["dim"], entry.get("points", []), entry.get("essential", [])
+            if d < 0:
+                raise ValueError(f"dimension {d}: 'dim' must be non-negative")
+            if d in seen:
+                raise ValueError(f"dimension {d}: 'dim' appears more than once")
+            seen.add(d)
             if not (isinstance(pts, list) and all(
                     isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
                     for p in pts)):
@@ -82,6 +86,8 @@ class PersistenceDiagram:
                 raise ValueError(f"dimension {d}: 'essential' must be a flat list of births")
             pts = np.array(pts, dtype=np.float64).reshape(-1, 2)
             ess = np.array(ess, dtype=np.float64)
+            if not (np.isfinite(pts).all() and np.isfinite(ess).all()):
+                raise ValueError(f"dimension {d}: births and deaths must be finite")
             if pts.size:
                 points[d] = pts
             if ess.size:
@@ -139,46 +145,53 @@ def block_h0(sizes: np.ndarray, filts: dict[int, Filtration]) -> list[Persistenc
             for p, e in zip(points, essential.tolist())]
 
 
-def _reduce(columns: list[int], rows: int) -> list[int]:
-    """Standard left-to-right column reduction over GF(2), in place.
-
-    Column j is a Python int whose bit i marks row i; its low is the highest
-    set bit. Returns ``pivot``: pivot[i] = j when reduced column j has low i,
-    else -1.
-    """
-    pivot = [-1] * rows
-    for j, col in enumerate(columns):
-        while col:
-            low = col.bit_length() - 1
-            k = pivot[low]
-            if k < 0:
-                pivot[low] = j
-                break
-            col ^= columns[k]
-        columns[j] = col
-    return pivot
+def _cocolumns(f: Filtration, d: int) -> list[int]:
+    """Coboundary of each d-simplex over the m (d + 1)-simplices as an int
+    with coface c at bit m - 1 - c, so its highest set bit is its earliest
+    coface; built in uint64 words, then read as one int per column."""
+    facets = f.facets(d + 1)                # positions in dimension d
+    m, n = facets.shape[0], f.scales[d].size
+    words = -(-m // 64)
+    bit = np.arange(m - 1, -1, -1)
+    masks = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    table = np.zeros((n, words), dtype=np.uint64)
+    for slot in facets.T:
+        np.bitwise_or.at(table, (slot, bit // 64), masks)
+    buf, step = table.astype("<u8", copy=False).tobytes(), 8 * words
+    return [int.from_bytes(buf[i * step:(i + 1) * step], "little") for i in range(n)]
 
 
 def _reduction(f: Filtration) -> PersistenceDiagram:
-    # The global filtration order restricted to one dimension is that
-    # dimension's array order, and a column of dimension d only ever absorbs
-    # columns of dimension d, so reducing one dimension at a time (rows are
-    # facet positions in the dimension below) gives the whole-matrix pairs.
+    # Cohomology with clearing (Chen & Kerber 2011; Bauer 2021, "Ripser"):
+    # coboundary columns reduced from the last simplex to the first give the
+    # boundary matrix's pairs for the same total order (de Silva, Morozov &
+    # Vejdemo-Johansson 2011). A column of dimension d only absorbs columns
+    # of dimension d, whose order is the array order, so dimensions reduce
+    # one at a time from 0. A d-simplex paired as a death below would reduce
+    # to zero and is skipped; in the top dimension the rest are essential.
     scales = f.scales
-    pivots, zero = [], [np.ones(scales[0].size, dtype=bool)]
-    for d in range(1, len(scales)):
-        columns = [0] * scales[d].size
-        for rows in f.facets(d).T.tolist():
-            columns = [c | (1 << i) for c, i in zip(columns, rows)]
-        pivots.append(np.array(_reduce(columns, scales[d - 1].size), dtype=np.int64))
-        zero.append(np.array([not c for c in columns], dtype=bool))
-    pivots.append(np.full(scales[-1].size, -1))
     points, essential = {}, {}
-    for d, s in enumerate(scales):
-        paired = pivots[d] >= 0
-        if paired.any():
-            points[d] = np.column_stack([s[paired], scales[d + 1][pivots[d][paired]]])
-        essential[d] = s[zero[d] & ~paired]      # zero columns never killed
+    dead = np.zeros(scales[0].size, dtype=bool)
+    for d in range(len(scales) - 1):
+        columns, m = _cocolumns(f, d), scales[d + 1].size
+        by_low, pairs = {}, []
+        for j in np.flatnonzero(~dead)[::-1].tolist():
+            col = columns[j]
+            while col:
+                low = col.bit_length() - 1
+                other = by_low.get(low)
+                if other is None:
+                    by_low[low] = col
+                    pairs.append((j, m - 1 - low))
+                    break
+                col ^= other
+        birth, death = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        points[d] = np.column_stack([scales[d][birth], scales[d + 1][death]])
+        dead[birth] = True                  # deaths of d - 1 and births of d
+        essential[d] = scales[d][~dead]
+        dead = np.zeros(m, dtype=bool)
+        dead[death] = True
+    essential[len(scales) - 1] = scales[-1][~dead]
     return PersistenceDiagram._build(points, essential)
 
 
@@ -190,11 +203,15 @@ def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
     enters at 0 it reads H0 off one minimum spanning forest of the edges in
     filtration order; otherwise (only ``Filtration.from_simplices`` can give a
     vertex a nonzero entry scale) it runs the reduction and keeps dimension 0.
-    ``reduction`` runs the standard boundary-matrix column reduction in
-    filtration order, one dimension at a time on bitset columns (O(len(f)^3)
-    worst case), and yields every dimension present. Both follow the elder
-    rule with ties broken toward the lower vertex index and emit one essential
-    dimension-0 point per connected component of the final complex.
+    ``reduction`` reduces bitset coboundary columns with clearing, one
+    dimension at a time (O(len(f)^3) worst case); it gives the pairs of the
+    boundary-matrix reduction in filtration order and yields every dimension
+    present. The top dimension builds no columns: its simplices not paired
+    as deaths are essential, C(n, 3) minus the dimension-1 deaths for a
+    complete ``max_dim`` 2 complex on n vertices.
+    Both follow the elder rule with ties broken toward the lower vertex index
+    and emit one essential dimension-0 point per connected component of the
+    final complex.
     """
     if algorithm == UNION_FIND:
         if homology_dims is not None and any(d > 0 for d in homology_dims):

@@ -93,7 +93,11 @@ def test_image_command(tmp_path, capsys):
 @pytest.mark.parametrize("obj", [[{"points": [[0, 1]]}], {"dim": 0}, [[0, 1]],
                                  [{"dim": "0"}], [{"dim": 0, "points": {}}],
                                  [{"dim": 0, "essential": [[1, 2]]}],
-                                 [{"dim": 0, "points": [1, 2]}]])
+                                 [{"dim": 0, "points": [1, 2]}],
+                                 [{"dim": 0, "points": [[0, 1]]}, {"dim": 0, "points": [[0, 3]]}],
+                                 [{"dim": -1, "points": [[0, 1]]}],
+                                 [{"dim": 0, "points": [[0.5, float("inf")]]}],
+                                 [{"dim": 0, "essential": [float("nan")]}]])
 def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, obj):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps(obj))

@@ -1,4 +1,4 @@
-"""Array filtrations and the per-dimension bitset reduction against the
+"""Array filtrations and the per-dimension coboundary reduction against the
 plain-python assembly and whole-matrix set reduction in conftest."""
 
 from itertools import combinations
@@ -12,6 +12,7 @@ from conftest import (oracle_assemble, oracle_reduction, random_connected_graph,
                       random_graph)
 from wtopo import (REDUCTION, UNION_FIND, Filtration, compute_persistence,
                    geodesics, select_landmarks, vr_filtration, witness_filtration)
+from wtopo import persistence
 from wtopo.complexes import _witness_edge_scales, relaxation_terms
 
 
@@ -57,6 +58,52 @@ def test_seeded_filtrations_match_oracles(kind, max_dim):
             scales = _witness_edge_scales(wit, relaxation_terms(wit, nu))
         np.fill_diagonal(scales, np.inf)
         assert_matches_oracles(f, oracle_assemble(n, scales, max_dim, max_scale))
+
+
+@pytest.mark.parametrize("n_land", [11, 12, 25])
+@pytest.mark.parametrize("kind", ["vr", "witness"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_complete_complexes_match_oracle(n_land, kind, weighted):
+    # 55/66/300 edges and 165/220/2300 triangles: coboundary columns of one,
+    # two or many uint64 words, with the last word full or partial
+    rng = np.random.default_rng(n_land + 2 * weighted)
+    g = random_connected_graph(rng, 4 * n_land, extra=4 * n_land, weighted=weighted)
+    rows = geodesics(g, range(n_land)).dists
+    land = rows[:, :n_land]
+    scales = np.unique(land)
+    for max_scale in (np.inf, float(scales[scales.size // 2])):
+        f = (vr_filtration(land, 2, max_scale) if kind == "vr"
+             else witness_filtration(land, rows.T, 2, max_scale))
+        if max_scale == np.inf:
+            assert [s.size for s in f.scales] == [n_land, n_land * (n_land - 1) // 2,
+                                                  n_land * (n_land - 1) * (n_land - 2) // 6]
+        assert compute_persistence(f, REDUCTION) == oracle_reduction(as_pairs(f))
+
+
+def test_edgeless_and_triangle_free_filtrations_match_oracle():
+    rng = np.random.default_rng(75)
+    g = random_connected_graph(rng, 12, extra=6, weighted=True)
+    rows = geodesics(g, range(6)).dists
+    land = rows[:, :6]
+    edgeless = [vr_filtration(land, max_dim, 0.1) for max_dim in (1, 2)]  # weights >= 0.5
+    assert all(f.scales[1].size == 0 for f in edgeless)
+    for f in edgeless + [vr_filtration(land, 1, np.inf), witness_filtration(land, rows.T, 1, 2.0)]:
+        assert compute_persistence(f, REDUCTION) == oracle_reduction(as_pairs(f))
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_top_dimension_builds_no_columns(monkeypatch, max_dim):
+    cocolumns, built = persistence._cocolumns, []
+
+    def counting(f, d):
+        built.append(d)
+        return cocolumns(f, d)
+
+    monkeypatch.setattr(persistence, "_cocolumns", counting)
+    land, wit = seeded_rows(np.random.default_rng(76))
+    for f in (vr_filtration(land, max_dim, np.inf), witness_filtration(land, wit, max_dim, 2.0)):
+        compute_persistence(f, REDUCTION)
+    assert built == list(range(max_dim)) * 2
 
 
 @st.composite

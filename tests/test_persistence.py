@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,19 @@ def test_diagram_json_roundtrip():
     d = diagram_of([[0.0, 2.0], [1.0, 3.0]], essential=[0.0])
     d2 = PersistenceDiagram.from_json_obj(d.to_json_obj())
     assert d == d2
+
+
+@pytest.mark.parametrize("obj, dim", [
+    ([{"dim": 0, "points": [[0, 1]], "essential": [0]}, {"dim": 0, "points": [[0, 3]]}], 0),
+    ([{"dim": -1, "points": [[0, 1]]}], -1),
+    ([{"dim": 1, "points": [[0.5, float("inf")]]}], 1),
+    ([{"dim": 0, "points": [[float("nan"), 1.0]]}], 0),
+    ([{"dim": 2, "essential": [float("nan")]}], 2),
+    ([{"dim": 0, "essential": [float("-inf")]}], 0),
+])
+def test_diagram_json_rejects_repeated_negative_and_non_finite(obj, dim):
+    with pytest.raises(ValueError, match=f"^dimension {dim}:"):
+        PersistenceDiagram.from_json_obj(json.loads(json.dumps(obj)))   # NaN, Infinity
 
 
 # ---------------------------------------------------------------------------
