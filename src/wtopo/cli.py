@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_complex_flags(p)
     p.add_argument("--algorithm", choices=[UNION_FIND, REDUCTION],
                    default=REDUCTION,
-                   help="persistence algorithm (default reduction)")
+                   help="persistence algorithm, union-find: dimension 0 only "
+                        "(default reduction: every dimension)")
     _add_output(p)
     p.set_defaults(func=_cmd_diagram)
 

@@ -11,8 +11,6 @@ import numpy as np
 
 from .graph import ValidationError
 
-VR = "vr"
-WITNESS = "witness"
 _TRIANGLE_CHUNK = 1 << 20   # common-neighbour mask cells per triangle-search step
 
 
@@ -34,7 +32,8 @@ def _sort_dim(verts: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """A filtered simplicial complex stored as one pair of arrays per dimension.
+    """A filtered simplicial complex stored as one pair of arrays per dimension,
+    from 0 up to its top dimension ``len(scales) - 1``.
 
     ``vertices[d]`` is an (m_d, d + 1) int64 array of simplices with ascending
     vertex ids (the n vertices are 0..n-1) and ``scales[d]`` the (m_d,)
@@ -49,15 +48,10 @@ class Filtration:
 
     vertices: tuple[np.ndarray, ...]
     scales: tuple[np.ndarray, ...]
-    max_dim: int
-    max_scale: float
-    kind: str
-    nu: int = 0
 
     @classmethod
     def from_simplices(cls, simplices: Iterable[tuple[Sequence[int], float]],
-                       max_dim: int, max_scale: float = np.inf, kind: str = VR,
-                       nu: int = 0) -> "Filtration":
+                       max_dim: int) -> "Filtration":
         """Filtration from (vertices, scale) pairs given in any order.
 
         The n vertices must carry the ids 0..n-1; they may enter at any scale
@@ -83,7 +77,7 @@ class Filtration:
         arrays = [_sort_dim(np.array(v, dtype=np.int64).reshape(len(v), d + 1),
                             np.array(s, dtype=np.float64))
                   for d, (v, s) in enumerate(zip(verts, scales))]
-        f = cls(*zip(*arrays), max_dim, max_scale, kind, nu)
+        f = cls(*zip(*arrays))
         if any((f.facets(d) < 0).any() for d in range(1, max_dim + 1)):
             raise ValueError("a face of some simplex is missing")
         return f
@@ -146,8 +140,7 @@ def _triangles(present: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _assemble(n: int, edge_scales: np.ndarray, max_dim: int, max_scale: float,
-              kind: str, nu: int = 0) -> Filtration:
+def _assemble(n: int, edge_scales: np.ndarray, max_dim: int, max_scale: float) -> Filtration:
     # edge_scales[i, j] = entry scale of edge (i, j); inf means never present
     present = np.isfinite(edge_scales) & (edge_scales <= max_scale)
     ids = np.arange(n, dtype=np.int64)
@@ -164,7 +157,7 @@ def _assemble(n: int, edge_scales: np.ndarray, max_dim: int, max_scale: float,
                                  edge_scales[j, k]))
     for d in range(1, max_dim + 1):
         verts[d], scales[d] = _sort_dim(verts[d], scales[d])
-    return Filtration(tuple(verts), tuple(scales), max_dim, max_scale, kind, nu)
+    return Filtration(tuple(verts), tuple(scales))
 
 
 def vr_filtration(dists: np.ndarray, max_dim: int, max_scale: float) -> Filtration:
@@ -177,7 +170,7 @@ def vr_filtration(dists: np.ndarray, max_dim: int, max_scale: float) -> Filtrati
         raise ValueError("max_scale must be non-negative")
     edge_scales = d.copy()
     np.fill_diagonal(edge_scales, np.inf)
-    return _assemble(d.shape[0], edge_scales, max_dim, max_scale, VR)
+    return _assemble(d.shape[0], edge_scales, max_dim, max_scale)
 
 
 def relaxation_terms(witness_dists: np.ndarray, nu: int) -> np.ndarray:
@@ -271,7 +264,7 @@ def _witness_complex(witness_dists: np.ndarray, max_dim: int, max_scale: float,
         edge_scales = np.full((n_land, n_land), np.inf)
     else:
         edge_scales = _witness_edge_scales(witness_dists, relaxation_terms(witness_dists, nu))
-    return _assemble(n_land, edge_scales, max_dim, max_scale, WITNESS, nu)
+    return _assemble(n_land, edge_scales, max_dim, max_scale)
 
 
 def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,

@@ -19,7 +19,7 @@ from .complexes import _witness_complex
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import REDUCTION, PersistenceDiagram, block_h0, compute_persistence
+from .persistence import REDUCTION, UNION_FIND, PersistenceDiagram, compute_persistence
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -75,20 +75,16 @@ def _witness_diagrams(sizes: np.ndarray, blocks: dict[int, np.ndarray], max_dim:
     """Lazy-witness diagram of each of ``sizes.size`` blocks of geodesic rows,
     block b over ``sizes[b]`` landmarks. ``blocks[b]`` holds the (witnesses,
     landmarks) rows of every block with at least two landmarks; a block with
-    one landmark is one vertex and needs no rows. In dimension 0 every
-    block's H0 comes from one spanning forest."""
+    one landmark is one vertex, whose diagram is one essential 0, and needs
+    no rows. Dimension 0 keeps only H0, so the reduction stops there."""
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
     if not 0 <= nu <= sizes.min():
         raise ValueError("nu must be in [0, num_landmarks]")
-    filts = {b: _witness_complex(rows, max_dim, max_scale, nu) for b, rows in blocks.items()}
-    # in higher dimensions the forest stands only for the one-vertex blocks
-    # (one essential 0), so it gets no edges
-    diagrams = block_h0(sizes, {} if dimension else filts)
-    if dimension:
-        for b, f in filts.items():
-            diagrams[b] = compute_persistence(f, REDUCTION)
-    return diagrams
+    algorithm = UNION_FIND if dimension == 0 else REDUCTION
+    return [compute_persistence(_witness_complex(blocks[b], max_dim, max_scale, nu), algorithm)
+            if b in blocks else PersistenceDiagram({}, {0: np.zeros(1)})
+            for b in range(sizes.size)]
 
 
 def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: int = 0,

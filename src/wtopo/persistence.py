@@ -1,4 +1,4 @@
-"""Persistence diagrams (spanning-forest H0 and coboundary reduction) and
+"""Persistence diagrams (coboundary reduction with clearing) and
 matching-based diagram distances (bottleneck, p-Wasserstein)."""
 
 from __future__ import annotations
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csgraph, csr_matrix
 
 from .complexes import Filtration
 
@@ -88,6 +87,8 @@ class PersistenceDiagram:
             ess = np.array(ess, dtype=np.float64)
             if not (np.isfinite(pts).all() and np.isfinite(ess).all()):
                 raise ValueError(f"dimension {d}: births and deaths must be finite")
+            if (pts[:, 1] < pts[:, 0]).any():
+                raise ValueError(f"dimension {d}: a point dies before it is born")
             if pts.size:
                 points[d] = pts
             if ess.size:
@@ -109,42 +110,6 @@ class PersistenceDiagram:
         return cls(pts, ess)
 
 
-def block_h0(sizes: np.ndarray, filts: dict[int, Filtration]) -> list[PersistenceDiagram]:
-    """H0 of several filtrations at once, block b on vertices 0..sizes[b]-1,
-    all entering at 0, with filtration ``filts[b]`` (blocks ascending; a
-    block without one has no edges).
-
-    One minimum spanning forest over the block-diagonal graph gives each
-    block one point (0, w) per forest edge of scale w and one essential 0 per
-    component (Kruskal with the elder rule). Edges, taken in (block, scale,
-    vertices) order, are weighted by their rank 1..m, so the forest follows
-    each filtration's order, ties included, and no weight is the 0 that
-    csgraph would read as a missing edge.
-    """
-    parts = [(np.full(f.scales[1].size, b), f.vertices[1], f.scales[1])
-             for b, f in filts.items() if f.max_dim]
-    block, edges, scales = map(np.concatenate, zip(
-        (np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64), _EMPTY_BIRTHS),
-        *parts))
-    n = int(sizes.sum())
-    tree = np.empty(0, dtype=np.int64)
-    if block.size:          # csgraph costs about 0.2 ms even without edges
-        offset = np.cumsum(sizes) - sizes
-        heads, tails = (edges + offset[block][:, None]).T
-        ranks = np.arange(1, block.size + 1, dtype=np.float64)
-        forest = csgraph.minimum_spanning_tree(csr_matrix((ranks, (heads, tails)), shape=(n, n)))
-        tree = np.sort(forest.data.astype(np.int64) - 1)    # (block, scale) order
-    # each block's deaths ascend, so its points need no further sort; blocks
-    # keep one essential 0 per component and drop zero-persistence points
-    deaths, owner = scales[tree], block[tree]
-    essential = sizes - np.bincount(owner, minlength=sizes.size)
-    kept = deaths > 0.0
-    points = np.split(np.column_stack([np.zeros(kept.sum()), deaths[kept]]),
-                      np.cumsum(np.bincount(owner[kept], minlength=sizes.size))[:-1])
-    return [PersistenceDiagram({0: p} if p.size else {}, {0: np.zeros(e)})
-            for p, e in zip(points, essential.tolist())]
-
-
 def _cocolumns(f: Filtration, d: int) -> list[int]:
     """Coboundary of each d-simplex over the m (d + 1)-simplices as an int
     with coface c at bit m - 1 - c, so its highest set bit is its earliest
@@ -161,18 +126,20 @@ def _cocolumns(f: Filtration, d: int) -> list[int]:
     return [int.from_bytes(buf[i * step:(i + 1) * step], "little") for i in range(n)]
 
 
-def _reduction(f: Filtration) -> PersistenceDiagram:
+def _reduction(f: Filtration, top: int) -> PersistenceDiagram:
     # Cohomology with clearing (Chen & Kerber 2011; Bauer 2021, "Ripser"):
     # coboundary columns reduced from the last simplex to the first give the
     # boundary matrix's pairs for the same total order (de Silva, Morozov &
     # Vejdemo-Johansson 2011). A column of dimension d only absorbs columns
     # of dimension d, whose order is the array order, so dimensions reduce
-    # one at a time from 0. A d-simplex paired as a death below would reduce
-    # to zero and is skipped; in the top dimension the rest are essential.
+    # one at a time from 0, here up to ``top``. A d-simplex paired as a death
+    # below would reduce to zero and is skipped; in the filtration's top
+    # dimension the rest are essential.
     scales = f.scales
+    last = len(scales) - 1
     points, essential = {}, {}
     dead = np.zeros(scales[0].size, dtype=bool)
-    for d in range(len(scales) - 1):
+    for d in range(min(top + 1, last)):
         columns, m = _cocolumns(f, d), scales[d + 1].size
         by_low, pairs = {}, []
         for j in np.flatnonzero(~dead)[::-1].tolist():
@@ -191,7 +158,8 @@ def _reduction(f: Filtration) -> PersistenceDiagram:
         essential[d] = scales[d][~dead]
         dead = np.zeros(m, dtype=bool)
         dead[death] = True
-    essential[len(scales) - 1] = scales[-1][~dead]
+    if top >= last:
+        essential[last] = scales[last][~dead]
     return PersistenceDiagram._build(points, essential)
 
 
@@ -199,30 +167,27 @@ def compute_persistence(f: Filtration, algorithm: str = REDUCTION,
                         homology_dims: tuple[int, ...] | None = None) -> PersistenceDiagram:
     """Persistence diagram of a filtration.
 
-    ``union-find`` is valid for dimension-0 output only. When every vertex
-    enters at 0 it reads H0 off one minimum spanning forest of the edges in
-    filtration order; otherwise (only ``Filtration.from_simplices`` can give a
-    vertex a nonzero entry scale) it runs the reduction and keeps dimension 0.
-    ``reduction`` reduces bitset coboundary columns with clearing, one
-    dimension at a time (O(len(f)^3) worst case); it gives the pairs of the
-    boundary-matrix reduction in filtration order and yields every dimension
-    present. The top dimension builds no columns: its simplices not paired
-    as deaths are essential, C(n, 3) minus the dimension-1 deaths for a
-    complete ``max_dim`` 2 complex on n vertices.
-    Both follow the elder rule with ties broken toward the lower vertex index
-    and emit one essential dimension-0 point per connected component of the
-    final complex.
+    Both algorithms run one reduction: bitset coboundary columns reduced with
+    clearing, one dimension at a time from 0 (O(len(f)^3) worst case). It
+    gives the pairs of the boundary-matrix reduction in filtration order and
+    stops after the highest dimension asked for. ``reduction`` yields every
+    dimension present, or those in ``homology_dims``; ``union-find`` is the
+    same reduction stopped after dimension 0 and is valid for dimension-0
+    output only. The filtration's top dimension builds no columns: its
+    simplices not paired as deaths are essential, C(n, 3) minus the
+    dimension-1 deaths for a complete ``max_dim`` 2 complex on n vertices.
+    Merges follow the elder rule with ties broken toward the lower vertex
+    index, and dimension 0 has one essential point per connected component
+    of the final complex.
     """
     if algorithm == UNION_FIND:
         if homology_dims is not None and any(d > 0 for d in homology_dims):
             raise ValueError("union-find computes dimension-0 persistence only")
         homology_dims = (0,) if homology_dims is None else homology_dims
-        diagram = (_reduction(f) if f.scales[0].any()
-                   else block_h0(np.array([f.scales[0].size]), {0: f})[0])
-    elif algorithm == REDUCTION:
-        diagram = _reduction(f)
-    else:
+    elif algorithm != REDUCTION:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    top = len(f.scales) - 1 if homology_dims is None else max(homology_dims, default=-1)
+    diagram = _reduction(f, top)
     if homology_dims is not None:
         diagram = PersistenceDiagram(
             {d: p for d, p in diagram.points.items() if d in homology_dims},

@@ -166,7 +166,7 @@ def oracle_build_knn_graph(features, k, zero_floor=1e-9):
 def oracle_local_cell_diagrams(g, cover, max_dim, nu, dimension, max_scale):
     """encodings.local_cell_diagrams as one induced subgraph and one geodesics
     call per cell, the subgraph cut by filtering the whole edge list. Dimension
-    0 goes through the reduction, so no code is shared with the spanning forest."""
+    0 keeps H0 of the reduction."""
     from wtopo import compute_persistence, geodesics, witness_filtration
     from wtopo.persistence import REDUCTION
 

@@ -7,8 +7,8 @@ import time
 
 import numpy as np
 
-from conftest import (diagram_of, random_connected_graph, random_diagram,
-                      random_filtration)
+from conftest import (diagram_of, oracle_reduction, random_connected_graph,
+                      random_diagram, random_filtration)
 from wtopo import (Graph, PIConfig, TopoLossConfig, all_pairs, build_cover,
                    compute_persistence, diagram_distance, geodesics,
                    persistence_image, sandwich_check, select_landmarks,
@@ -47,10 +47,13 @@ def test_union_find_reduction_oracle_equivalence():
         f = random_filtration(rng, n_max=30)
         uf = compute_persistence(f, UNION_FIND)
         red = compute_persistence(f, REDUCTION, homology_dims=(0,))
+        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
         if (uf.points_in(0).tolist() != red.points_in(0).tolist()
-                or uf.essential_in(0).tolist() != red.essential_in(0).tolist()):
+                or uf.essential_in(0).tolist() != red.essential_in(0).tolist()
+                or uf != diagram_of(want.points_in(0), want.essential_in(0))):
             mismatches += 1
-    _report("union-find vs reduction H0 equivalence (100 filtrations, exact)",
+    _report("union-find vs reduction vs whole-matrix oracle H0 equivalence "
+            "(100 filtrations, exact)",
             mismatches == 0, f"{mismatches} mismatches")
 
 

@@ -97,7 +97,8 @@ def test_image_command(tmp_path, capsys):
                                  [{"dim": 0, "points": [[0, 1]]}, {"dim": 0, "points": [[0, 3]]}],
                                  [{"dim": -1, "points": [[0, 1]]}],
                                  [{"dim": 0, "points": [[0.5, float("inf")]]}],
-                                 [{"dim": 0, "essential": [float("nan")]}]])
+                                 [{"dim": 0, "essential": [float("nan")]}],
+                                 [{"dim": 0, "points": [[3, 1], [0, 2]]}]])
 def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, obj):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps(obj))

@@ -158,13 +158,16 @@ def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
         return compute_persistence(f, *args, **kw)
 
     monkeypatch.setattr("wtopo.encodings.compute_persistence", counting)
-    got = local_cell_diagrams(cover, max_dim=2, dimension=1)
-    assert len(reduced) == len(several)
-    assert [f.scales[0].size for f in reduced] == [len(cover.local_landmarks[l]) for l in several]
-    want = oracle_local_cell_diagrams(g, cover, 2, 0, 1, np.inf)
-    assert got == want
-    assert all(got[l] == want[l] == diagram_of([], [0.0]) for l in cover.cells
-               if l not in several)
+    for max_dim, dimension in ((2, 1), (1, 0)):
+        reduced.clear()
+        got = local_cell_diagrams(cover, max_dim=max_dim, dimension=dimension)
+        assert len(reduced) == len(several)
+        assert ([f.scales[0].size for f in reduced]
+                == [len(cover.local_landmarks[l]) for l in several])
+        want = oracle_local_cell_diagrams(g, cover, max_dim, 0, dimension, np.inf)
+        assert got == want
+        assert all(got[l] == want[l] == diagram_of([], [0.0]) for l in cover.cells
+                   if l not in several)
 
 
 @pytest.mark.parametrize("max_dim, dimension", [(0, 0), (1, 0), (2, 1)])

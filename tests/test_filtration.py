@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (oracle_assemble, oracle_reduction, random_connected_graph,
-                      random_graph)
+from conftest import (diagram_of, oracle_assemble, oracle_reduction,
+                      random_connected_graph, random_graph)
 from wtopo import (REDUCTION, UNION_FIND, Filtration, compute_persistence,
                    geodesics, select_landmarks, vr_filtration, witness_filtration)
 from wtopo import persistence
@@ -23,9 +23,11 @@ def as_pairs(f):
 def assert_matches_oracles(f, expected):
     assert as_pairs(f) == expected
     assert len(f) == len(expected)
-    assert compute_persistence(f, REDUCTION) == oracle_reduction(expected)
+    want = oracle_reduction(expected)
+    assert compute_persistence(f, REDUCTION) == want
     assert (compute_persistence(f, UNION_FIND)
-            == compute_persistence(f, REDUCTION, homology_dims=(0,)))
+            == compute_persistence(f, REDUCTION, homology_dims=(0,))
+            == diagram_of(want.points_in(0), want.essential_in(0)))
 
 
 def seeded_rows(rng):
@@ -101,9 +103,16 @@ def test_top_dimension_builds_no_columns(monkeypatch, max_dim):
 
     monkeypatch.setattr(persistence, "_cocolumns", counting)
     land, wit = seeded_rows(np.random.default_rng(76))
-    for f in (vr_filtration(land, max_dim, np.inf), witness_filtration(land, wit, max_dim, 2.0)):
+    filts = (vr_filtration(land, max_dim, np.inf), witness_filtration(land, wit, max_dim, 2.0))
+    for f in filts:
         compute_persistence(f, REDUCTION)
     assert built == list(range(max_dim)) * 2
+    # H0 alone stops after dimension 0's columns
+    for f in filts:
+        for algorithm, dims in ((UNION_FIND, None), (REDUCTION, (0,))):
+            built.clear()
+            compute_persistence(f, algorithm, homology_dims=dims)
+            assert built == [0][:max_dim]
 
 
 @st.composite

@@ -332,9 +332,8 @@ def oracle_h0_merge(vert_scales, vert_rank, edge_u, edge_v, edge_scales):
 
 
 def test_h0_merge_matches_union_find_oracle():
-    # half the trials give every vertex birth 0 (the spanning forest, with
-    # zero-scale edges), half give some a later birth (the reduction); edge
-    # scales tie often
+    # half the trials give every vertex birth 0 (with zero-scale edges), half
+    # give some a later birth; edge scales tie often
     rng = np.random.default_rng(95)
     for trial in range(60):
         nv = int(rng.integers(1, 25))

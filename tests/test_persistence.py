@@ -13,8 +13,8 @@ from wtopo import (REDUCTION, UNION_FIND, Filtration, all_pairs,
 from wtopo.persistence import PersistenceDiagram
 
 
-def filtration_from(simplices, max_dim=1, max_scale=np.inf):
-    return Filtration.from_simplices(simplices, max_dim, max_scale, "vr")
+def filtration_from(simplices, max_dim=1):
+    return Filtration.from_simplices(simplices, max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +79,8 @@ def test_union_find_reduction_equivalence_random():
         red = compute_persistence(f, REDUCTION, homology_dims=(0,))
         assert uf.points_in(0).tolist() == red.points_in(0).tolist()
         assert uf.essential_in(0).tolist() == red.essential_in(0).tolist()
+        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
+        assert uf == diagram_of(want.points_in(0), want.essential_in(0))
 
 
 def test_forest_h0_matches_reduction_oracle():
@@ -119,6 +121,9 @@ def test_diagram_json_roundtrip():
     d = diagram_of([[0.0, 2.0], [1.0, 3.0]], essential=[0.0])
     d2 = PersistenceDiagram.from_json_obj(d.to_json_obj())
     assert d == d2
+    # zero persistence is accepted and dropped, as at construction
+    assert PersistenceDiagram.from_json_obj(
+        [{"dim": 0, "points": [[1, 1], [0, 2]]}]) == diagram_of([[0, 2]])
 
 
 @pytest.mark.parametrize("obj, dim", [
@@ -128,6 +133,7 @@ def test_diagram_json_roundtrip():
     ([{"dim": 0, "points": [[float("nan"), 1.0]]}], 0),
     ([{"dim": 2, "essential": [float("nan")]}], 2),
     ([{"dim": 0, "essential": [float("-inf")]}], 0),
+    ([{"dim": 1, "points": [[0, 2], [3, 1]]}], 1),           # death before birth
 ])
 def test_diagram_json_rejects_repeated_negative_and_non_finite(obj, dim):
     with pytest.raises(ValueError, match=f"^dimension {dim}:"):
