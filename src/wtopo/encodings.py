@@ -49,8 +49,17 @@ class NodeFeatureMatrix:
 
     @classmethod
     def from_binary(cls, fp: IO[bytes], provenance: str = LOCAL) -> "NodeFeatureMatrix":
-        n, cols = struct.unpack("<qq", fp.read(16))
-        values = np.frombuffer(fp.read(n * cols * 8), dtype="<f8").reshape(n, cols)
+        """Inverse of ``to_binary``; the block must end where ``fp`` ends."""
+        head, payload = fp.read(16), fp.read()
+        if len(head) != 16:
+            raise ValueError(f"feature matrix header is {len(head)} bytes, needs 16")
+        n, cols = struct.unpack("<qq", head)
+        if n < 0 or cols < 0:
+            raise ValueError(f"feature matrix header gives a negative shape ({n}, {cols})")
+        if len(payload) != n * cols * 8:
+            problem = "truncated" if len(payload) < n * cols * 8 else "trailing bytes"
+            raise ValueError(f"feature matrix ({n}, {cols}): {problem}, {len(payload)} bytes")
+        values = np.frombuffer(payload, dtype="<f8").reshape(n, cols)
         return cls(values.astype(np.float64), provenance)
 
 
@@ -116,11 +125,16 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     cover = build_cover(g, select_landmarks(g, fraction))
     diagrams = local_cell_diagrams(cover, max_dim=max_dim, nu=nu,
                                    dimension=dimension, max_scale=max_scale)
-    images = np.stack([persistence_image(d, cfg, dimension).flatten()
-                       for d in diagrams.values()])
+    index: dict[tuple[bytes, bytes], int] = {}      # distinct diagram -> image row
+    images = []
     position = np.empty(g.num_nodes, dtype=np.intp)    # cell key -> image row
-    position[list(diagrams)] = np.arange(len(diagrams))
-    return NodeFeatureMatrix(images[position[cover.cell_of]], LOCAL)
+    for l, d in diagrams.items():
+        key = (d.points_in(dimension).tobytes(), d.essential_in(dimension).tobytes())
+        if key not in index:
+            index[key] = len(images)
+            images.append(persistence_image(d, cfg, dimension).flatten())
+        position[l] = index[key]
+    return NodeFeatureMatrix(np.stack(images)[position[cover.cell_of]], LOCAL)
 
 
 def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,

@@ -11,8 +11,8 @@ from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
                         topo_loss)
 from .graph import Graph, _pair_keys, adjacency_l1_distance
 from .images import CAP, PIConfig, persistence_image, resolve_config
-from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import PersistenceDiagram, diagram_distance
+from .landmarks import LandmarkSet, build_cover, select_landmarks
+from .persistence import _EMPTY_POINTS, PersistenceDiagram, diagram_distance
 
 RANDOM = "random"
 LANDMARK_TARGETED = "landmark-targeted"
@@ -120,20 +120,19 @@ def _capped(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:
     return pts
 
 
-def _local_drift(diags1: dict[int, PersistenceDiagram],
-                 diags2: dict[int, PersistenceDiagram],
-                 cfg: PIConfig, dimension: int, p: float) -> float:
-    """Sum of W_p between per-landmark diagrams matched by landmark identity;
-    cells present on one side only are compared against the empty diagram."""
-    empty = PersistenceDiagram()
+def _local_drift(cells1: dict[int, np.ndarray], cells2: dict[int, np.ndarray],
+                 dimension: int, p: float) -> float:
+    """Sum of W_p between per-landmark capped point sets matched by landmark
+    identity; cells present on one side only are compared against the empty
+    set. Equal sets are skipped: their distance is exactly 0.0."""
     total = 0.0
-    for l in sorted(set(diags1) | set(diags2)):
-        a = PersistenceDiagram._build(
-            {dimension: _capped(diags1.get(l, empty), cfg, dimension)}, {})
-        b = PersistenceDiagram._build(
-            {dimension: _capped(diags2.get(l, empty), cfg, dimension)}, {})
-        total += diagram_distance(a, b, mode="wasserstein", p=p,
-                                  dimension=dimension, essential="drop")
+    for l in sorted(set(cells1) | set(cells2)):
+        a, b = cells1.get(l, _EMPTY_POINTS), cells2.get(l, _EMPTY_POINTS)
+        if not np.array_equal(a, b):
+            total += diagram_distance(PersistenceDiagram._build({dimension: a}, {}),
+                                      PersistenceDiagram._build({dimension: b}, {}),
+                                      mode="wasserstein", p=p, dimension=dimension,
+                                      essential="drop")
     return total
 
 
@@ -148,8 +147,9 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
 
     For every (budget, trial) pair the graph is perturbed with seed
     ``base_seed + trial``, covers and encodings are recomputed (landmarks
-    re-selected on the perturbed graph unless ``freeze_landmarks``), and the
-    report row carries the feature drifts plus the ratio of each drift to its
+    re-selected on the perturbed graph unless ``freeze_landmarks``; a graph
+    equal to the clean one reuses the clean results), and the report row
+    carries the feature drifts plus the ratio of each drift to its
     stability-bound denominator (local: c_epsilon * (budget + cover_radius);
     global: budget + cover_radius). A budget of 0 yields all-zero drifts.
     """
@@ -160,15 +160,18 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         raise ValueError("trials must be >= 1")
     cfg = resolve_config(cfg, g)
 
-    def diagrams(graph: Graph, cover: Cover) -> tuple[dict, PersistenceDiagram]:
-        # cell diagrams and the global diagram, both from the one cover
+    def encode(graph: Graph, ls: LandmarkSet) -> tuple:
+        # cover, capped cell diagrams, global diagram and image of one graph
+        cover = build_cover(graph, ls)
         kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
-        return (local_cell_diagrams(cover, **kw),
-                global_diagram(graph, fraction, cover=cover, **kw))
+        cells = {l: _capped(d, cfg, dimension)
+                 for l, d in local_cell_diagrams(cover, **kw).items()}
+        glob = global_diagram(graph, fraction, cover=cover, **kw)
+        return cover, cells, glob, persistence_image(glob, cfg, dimension)
 
     ls = select_landmarks(g, fraction)
-    local_clean, glob_diag_clean = diagrams(g, build_cover(g, ls))
-    glob_pi_clean = persistence_image(glob_diag_clean, cfg, dimension)
+    clean = encode(g, ls)
+    _, local_clean, glob_diag_clean, glob_pi_clean = clean
     loss_clean = topo_loss(glob_diag_clean, loss_cfg, dimension)
 
     rows = []
@@ -178,13 +181,13 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
                                seed=base_seed + trial)
             g2 = perturb(g, spec, landmarks=ls.landmarks)
             l1 = adjacency_l1_distance(g, g2)
-            ls2 = ls if freeze_landmarks else select_landmarks(g2, fraction)
-            cover2 = build_cover(g2, ls2)
-            local2, glob_diag2 = diagrams(g2, cover2)
-            glob_pi2 = persistence_image(glob_diag2, cfg, dimension)
+            # every result is a function of the edges and weights alone
+            same = (np.array_equal(g2.edge_array, g.edge_array)
+                    and np.array_equal(g2.weights, g.weights))
+            cover2, local2, glob_diag2, glob_pi2 = clean if same else encode(
+                g2, ls if freeze_landmarks else select_landmarks(g2, fraction))
 
-            local_w = _local_drift(local_clean, local2, cfg, dimension,
-                                   wasserstein_p)
+            local_w = _local_drift(local_clean, local2, dimension, wasserstein_p)
             pi_drift = float(np.max(np.abs(glob_pi_clean.pixels - glob_pi2.pixels)))
             loss_drift = abs(loss_clean - topo_loss(glob_diag2, loss_cfg, dimension))
 

@@ -184,6 +184,63 @@ def oracle_local_cell_diagrams(g, cover, max_dim, nu, dimension, max_scale):
     return diagrams
 
 
+def oracle_stability_rows(g, budgets, trials, fraction, cfg, loss_cfg, mode="random",
+                          base_seed=0, freeze_landmarks=False, max_dim=1, dimension=0,
+                          nu=0, max_scale=np.inf, wasserstein_p=1.0):
+    """robustness.stability_sweep's rows with nothing reused: every graph, the
+    clean one and each row's, gets a fresh cover (built on a fresh copy, so no
+    memoised cover is met) and fresh diagrams, and the local drift runs one
+    W_p per cell, equal cells included."""
+    from wtopo import (PerturbSpec, adjacency_l1_distance, build_cover, diagram_distance,
+                       global_diagram, local_cell_diagrams, perturb, persistence_image,
+                       resolve_config, select_landmarks, topo_loss)
+
+    cfg = resolve_config(cfg, g)
+    empty = PersistenceDiagram()
+
+    def encode(graph, ls):
+        copy = Graph.from_edges(graph.num_nodes, [(u, v, w) for (u, v), w
+                                                  in edge_dict(graph).items()])
+        cover = build_cover(copy, ls)
+        kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
+        cells = local_cell_diagrams(cover, **kw)
+        glob = global_diagram(copy, fraction, cover=cover, **kw)
+        return cover, cells, glob, persistence_image(glob, cfg, dimension)
+
+    def capped(d):
+        pts, ess = d.points_in(dimension), d.essential_in(dimension)
+        if ess.size and cfg.essential_policy == "cap":
+            pts = np.vstack([pts, [(b, cfg.cap_value) for b in ess]])
+        return PersistenceDiagram._build({dimension: pts}, {})
+
+    ls = select_landmarks(g, fraction)
+    _, cells, glob, image = encode(g, ls)
+    rows = []
+    for budget in budgets:
+        for trial in range(trials):
+            g2 = perturb(g, PerturbSpec(budget, mode, base_seed + trial), landmarks=ls.landmarks)
+            cover2, cells2, glob2, image2 = encode(
+                g2, ls if freeze_landmarks else select_landmarks(g2, fraction))
+            local_w = 0.0
+            for l in sorted(set(cells) | set(cells2)):
+                local_w += diagram_distance(
+                    capped(cells.get(l, empty)), capped(cells2.get(l, empty)),
+                    mode="wasserstein", p=wasserstein_p, dimension=dimension,
+                    essential="drop")
+            pi_drift = float(np.max(np.abs(image.pixels - image2.pixels)))
+            loss_drift = abs(topo_loss(glob, loss_cfg, dimension)
+                             - topo_loss(glob2, loss_cfg, dimension))
+            denom_local = cover2.c_epsilon * (budget + cover2.cover_radius)
+            denom_global = budget + cover2.cover_radius
+            rows.append((
+                budget, trial, float(adjacency_l1_distance(g, g2)), float(local_w),
+                pi_drift, float(loss_drift), float(cover2.cover_radius),
+                int(cover2.c_epsilon),
+                float(local_w / denom_local) if denom_local > 0 else 0.0,
+                float(pi_drift / denom_global) if denom_global > 0 else 0.0))
+    return tuple(rows)
+
+
 def oracle_witness_edge_scales(witness_dists, nu):
     """Plain-python lazy-witness edge scales (independent of the kernels)."""
     wd = np.asarray(witness_dists, dtype=float)

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from conftest import (diagram_of, oracle_local_cell_diagrams, random_connected_graph,
                       random_diagram)
 from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
-                   build_cover, compute_persistence, connected_components,
+                   build_cover, compute_persistence, connected_components, default_config,
                    diameter, geodesics, global_diagram,
                    global_encoding, local_cell_diagrams, local_encoding,
                    persistence_image, select_landmarks, topo_loss,
@@ -59,20 +60,35 @@ def test_local_broadcast_random_graphs():
             assert np.all(rows == rows[0])
 
 
-def test_local_matches_staged_pipeline():
-    rng = np.random.default_rng(62)
-    g = random_connected_graph(rng, 10, extra=5)
-    cfg = cfg_for(g, r=4)
-    feats = local_encoding(g, 0.3, cfg)
+def test_local_matches_staged_pipeline(monkeypatch):
+    # the per-cell image stack, broadcast to each cell's members; the encoding
+    # makes one image per distinct diagram
+    import wtopo.encodings as encodings
 
-    ls = select_landmarks(g, 0.3)
-    cover = build_cover(g, ls)
-    expected = np.zeros_like(feats.values)
-    for l, members in cover.cells.items():
-        diag = local_cell_diagrams(cover)[l]
-        img = persistence_image(diag, cfg, 0)
-        expected[list(members)] = img.flatten()
-    assert np.array_equal(feats.values, expected)
+    calls = []
+    monkeypatch.setattr(encodings, "persistence_image",
+                        lambda *args: calls.append(1) or persistence_image(*args))
+    for seed, weighted in ((62, False), (63, True)):
+        g = random_connected_graph(np.random.default_rng(seed), 60, extra=30,
+                                   weighted=weighted)
+        cover = build_cover(g, select_landmarks(g, 0.5))
+        for dimension, policy in ((0, "cap"), (0, "drop"), (1, "cap"), (1, "drop")):
+            cfg = default_config(g, grid_resolution=4, essential_policy=policy)
+            calls.clear()
+            feats = local_encoding(g, 0.5, cfg, dimension=dimension)
+            diagrams = local_cell_diagrams(cover, dimension=dimension)
+            expected = np.zeros_like(feats.values)
+            distinct = []
+            for l, members in cover.cells.items():
+                d = diagrams[l]
+                expected[list(members)] = persistence_image(d, cfg, dimension).flatten()
+                if not any(np.array_equal(d.points_in(dimension), e.points_in(dimension))
+                           and np.array_equal(d.essential_in(dimension),
+                                              e.essential_in(dimension))
+                           for e in distinct):
+                    distinct.append(d)
+            assert np.array_equal(feats.values, expected)
+            assert len(calls) == len(distinct) < len(cover.cells)
 
 
 def test_local_cell_diagrams_match_per_cell_oracle():
@@ -286,6 +302,21 @@ def test_feature_matrix_csv_and_binary_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert int.from_bytes(raw[:8], "little") == 3
     assert int.from_bytes(raw[8:16], "little") == 4
+
+
+BLOCK = struct.pack("<qq", 3, 4) + np.arange(12, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("raw, problem", [
+    (struct.pack("<qq", -1, 4), "negative shape"),
+    (BLOCK + b"\x00", "trailing bytes"),
+    (BLOCK[:-10], "truncated"),
+    (BLOCK[:9], "header is 9 bytes"),
+], ids=["negative-rows", "trailing", "truncated", "short-header"])
+def test_feature_matrix_binary_rejects_malformed_blocks(raw, problem):
+    assert NodeFeatureMatrix.from_binary(io.BytesIO(BLOCK)).values.shape == (3, 4)
+    with pytest.raises(ValueError, match=problem):
+        NodeFeatureMatrix.from_binary(io.BytesIO(raw))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (betti_from_diagram, diagram_of, oracle_betti_counts,
                       oracle_bottleneck, oracle_reduction, oracle_wasserstein,
@@ -155,6 +157,21 @@ def test_bottleneck_diagonal_projection():
 def test_wasserstein_identical_zero():
     d = diagram_of([[0, 4], [1, 2]])
     assert diagram_distance(d, d, mode="wasserstein", p=1) == 0.0
+
+
+# births and persistences from a few values, so diagrams carry tied and
+# repeated points; the sweep skips W_p between equal cells on this identity
+GRID = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(GRID, GRID.filter(lambda x: x > 0.0)), max_size=12),
+       st.lists(GRID, max_size=4), st.sampled_from([1.0, 2.0, 3.5]),
+       st.sampled_from(["match", "drop"]))
+def test_distance_of_a_diagram_to_itself_is_exactly_zero(pairs, essential, p, policy):
+    d = diagram_of([(b, b + pers) for b, pers in pairs], essential)
+    assert diagram_distance(d, d, mode="wasserstein", p=p, essential=policy) == 0.0
+    assert diagram_distance(d, d, mode="bottleneck", essential=policy) == 0.0
 
 
 def test_wasserstein_requires_p_at_least_one():

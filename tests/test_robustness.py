@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import edge_dict, random_connected_graph, random_graph
+from conftest import edge_dict, oracle_stability_rows, random_connected_graph, random_graph
 from wtopo import (Graph, PerturbSpec, TopoLossConfig, adjacency_l1_distance,
                    default_config, perturb, select_landmarks, stability_sweep)
 from wtopo.robustness import LANDMARK_TARGETED, REPORT_COLUMNS
@@ -170,6 +170,33 @@ def test_sweep_freeze_landmarks_flag():
                              loss_cfg=TopoLossConfig(), freeze_landmarks=True,
                              base_seed=4)
     assert len(frozen) == 2                     # runs end to end
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("dimension", [0, 1])
+@pytest.mark.parametrize("policy", ["cap", "drop"])
+def test_sweep_rows_equal_the_recompute_everything_oracle(monkeypatch, weighted, dimension,
+                                                           policy):
+    import wtopo.robustness as robustness
+
+    rng = np.random.default_rng(83 + weighted)
+    g = random_connected_graph(rng, 40, extra=30, weighted=weighted)
+    cfg = default_config(g, grid_resolution=4, essential_policy=policy)
+    covers = []
+    build_cover = robustness.build_cover
+    monkeypatch.setattr(robustness, "build_cover",
+                        lambda *args: covers.append(1) or build_cover(*args))
+    budgets, trials = [0, 0, 3], 2
+    for mode in ("random", LANDMARK_TARGETED):
+        for freeze in (False, True):
+            kw = dict(mode=mode, base_seed=5, freeze_landmarks=freeze, dimension=dimension)
+            covers.clear()
+            report = stability_sweep(g, budgets, trials, 0.5, cfg, TopoLossConfig(), **kw)
+            # the clean graph once, then one cover per trial whose graph changed
+            assert len(covers) == 1 + trials * sum(b > 0 for b in budgets)
+            assert report.rows == oracle_stability_rows(g, budgets, trials, 0.5, cfg,
+                                                        TopoLossConfig(), **kw)
+
 
 def test_sweep_rejects_unsorted_budgets():
     rng = np.random.default_rng(81)
