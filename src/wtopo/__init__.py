@@ -6,7 +6,7 @@ persistence image / topological loss, plus an edge-flip perturbation harness
 that measures how much the features drift under a given flip budget.
 """
 
-from .complexes import (Filtration, Simplex, is_weak_witness, sandwich_check,
+from .complexes import (Filtration, is_weak_witness, sandwich_check,
                         vr_filtration, witness_filtration)
 from .encodings import (NodeFeatureMatrix, TopoLossConfig, global_diagram,
                         global_encoding, local_cell_diagrams, local_encoding,
@@ -31,7 +31,7 @@ __all__ = [
     "all_pairs", "diameter", "connected_components",
     "largest_connected_component", "adjacency_l1_distance",
     "LandmarkSet", "Cover", "select_landmarks", "build_cover",
-    "Simplex", "Filtration", "vr_filtration", "witness_filtration",
+    "Filtration", "vr_filtration", "witness_filtration",
     "is_weak_witness", "sandwich_check",
     "PersistenceDiagram", "compute_persistence", "diagram_distance",
     "UNION_FIND", "REDUCTION",

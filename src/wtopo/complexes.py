@@ -2,26 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graph import ValidationError
 
 _TRIANGLE_CHUNK = 1 << 20   # common-neighbour mask cells per triangle-search step
-
-
-@dataclass(frozen=True)
-class Simplex:
-    vertices: tuple[int, ...]
-    scale: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
 
 
 def _sort_dim(verts: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -42,8 +30,7 @@ class Filtration:
     valid filtration order: every face precedes its cofaces, and truncating at
     any scale leaves a face-closed complex. Restricted to one dimension it is
     that dimension's array order, so columns can be reduced one dimension at
-    a time. ``simplices`` is the whole complex as a tuple in the global order,
-    built on first use.
+    a time.
     """
 
     vertices: tuple[np.ndarray, ...]
@@ -95,22 +82,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return sum(s.size for s in self.scales)
-
-    @cached_property
-    def simplices(self) -> tuple[Simplex, ...]:
-        dims = np.concatenate([np.full(s.size, d) for d, s in enumerate(self.scales)])
-        order = np.lexsort((dims, np.concatenate(self.scales)))   # stable
-        flat = [Simplex(tuple(v), s) for vs, ss in zip(self.vertices, self.scales)
-                for v, s in zip(vs.tolist(), ss.tolist())]
-        return tuple(flat[i] for i in order.tolist())
-
-    def simplex_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(tuple(v) for vs in self.vertices for v in vs.tolist())
-
-    def to_jsonl(self, fp: IO[str]) -> None:
-        for s in self.simplices:
-            fp.write(json.dumps({"vertices": list(s.vertices), "scale": s.scale}))
-            fp.write("\n")
 
 
 def _validate_square(dists: np.ndarray, name: str) -> np.ndarray:
@@ -294,7 +265,9 @@ def is_weak_witness(w: int, sigma: Sequence[int], cover_dists: np.ndarray) -> bo
     max over sigma of d(w, v) <= min outside sigma of d(w, u)
     (vacuously true when sigma is the whole landmark set)."""
     wd = np.asarray(cover_dists, dtype=np.float64)
-    n_land = wd.shape[1]
+    n_wit, n_land = wd.shape
+    if not 0 <= w < n_wit:
+        raise ValueError(f"w must be a witness row in [0, {n_wit}), got {w}")
     sig = set(int(v) for v in sigma)
     if not sig:
         raise ValueError("sigma must be non-empty")
@@ -313,7 +286,14 @@ def sandwich_check(land_dists: np.ndarray, witness_dists: np.ndarray,
     when the hypothesis alpha > 2*epsilon fails."""
     if not alpha > 2.0 * epsilon:
         return None
-    inner = vr_filtration(land_dists, max_dim, alpha / 3.0).simplex_set()
-    wit = witness_filtration(land_dists, witness_dists, max_dim, alpha, nu=0).simplex_set()
-    outer = vr_filtration(land_dists, max_dim, 3.0 * alpha).simplex_set()
-    return inner <= wit <= outer
+    inner = vr_filtration(land_dists, max_dim, alpha / 3.0)
+    wit = witness_filtration(land_dists, witness_dists, max_dim, alpha, nu=0)
+    outer = vr_filtration(land_dists, max_dim, 3.0 * alpha)
+    n = inner.scales[0].size                # all three have the vertices 0..n-1
+
+    def keys(f: Filtration, d: int) -> np.ndarray:
+        return f.vertices[d] @ n ** np.arange(d, -1, -1)   # one int per simplex
+
+    return all(np.isin(keys(inner, d), keys(wit, d)).all()
+               and np.isin(keys(wit, d), keys(outer, d)).all()
+               for d in range(max_dim + 1))

@@ -71,8 +71,11 @@ class TopoLossConfig:
     q: float = 0.0
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q <= 0:
-            raise ValueError("need p >= 0, q >= 0 and p + q > 0")
+        for name, x in (("p", self.p), ("q", self.q)):
+            if not 0 <= x < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {name}={x!r}")
+        if self.p + self.q <= 0:
+            raise ValueError("need p + q > 0")
 
     @property
     def k(self) -> float:

@@ -103,20 +103,25 @@ def default_config(g: Graph, grid_resolution: int = 10, sigma: float = 1.0,
     )
 
 
-def _diagram_points(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:
+def _capped_points(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:
+    """(birth, death) rows of one dimension: the finite points, then, under
+    CAP, each essential birth b as (b, cap_value); DROP leaves essentials out."""
     pts = d.points_in(dimension)
-    births = pts[:, 0]
-    pers = pts[:, 1] - pts[:, 0]
     ess = d.essential_in(dimension)
-    if ess.size and cfg.essential_policy == CAP:
-        if cfg.cap_value is None:
-            raise ValueError("cap_value required to cap essential points")
-        cap_pers = cfg.cap_value - ess
-        if np.any(cap_pers <= 0.0):
-            raise ValidationError("cap_value must exceed every essential birth")
-        births = np.concatenate([births, ess])
-        pers = np.concatenate([pers, cap_pers])
-    out = np.column_stack([births, pers]) if births.size else np.empty((0, 2))
+    if not ess.size or cfg.essential_policy != CAP:
+        return pts
+    if cfg.cap_value is None:
+        raise ValueError("cap_value required to cap essential points")
+    capped = np.column_stack([ess, np.full(ess.shape, cfg.cap_value)])
+    return np.vstack([pts, capped]) if pts.size else capped
+
+
+def _diagram_points(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:
+    rows = _capped_points(d, cfg, dimension)
+    pers = rows[:, 1] - rows[:, 0]
+    if np.any(pers[d.points_in(dimension).shape[0]:] <= 0.0):
+        raise ValidationError("cap_value must exceed every essential birth")
+    out = np.column_stack([rows[:, 0], pers]) if rows.size else np.empty((0, 2))
     # canonical accumulation order makes the image bit-identical under
     # permutation of the input diagram
     if out.shape[0] > 1:

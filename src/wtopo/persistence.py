@@ -289,14 +289,14 @@ def diagram_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     to the diagonal. Essential points are matched essential-to-essential by
     sorted births (``essential="match"``, inf when the counts differ) or
     ignored (``essential="drop"``). Wasserstein uses an exact assignment and
-    requires p >= 1.
+    requires a finite p >= 1.
     """
     if essential not in ("match", "drop"):
         raise ValueError("essential must be 'match' or 'drop'")
     if mode not in ("bottleneck", "wasserstein"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "wasserstein" and p < 1.0:
-        raise ValueError("wasserstein requires p >= 1")
+    if mode == "wasserstein" and not 1.0 <= p < np.inf:
+        raise ValueError(f"wasserstein requires a finite p >= 1, got p={p!r}")
     p1, p2 = d1.points_in(dimension), d2.points_in(dimension)
     if essential == "match":
         ecosts = _essential_costs(d1.essential_in(dimension), d2.essential_in(dimension))

@@ -10,7 +10,7 @@ import numpy as np
 from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
                         topo_loss)
 from .graph import Graph, _pair_keys, adjacency_l1_distance
-from .images import CAP, PIConfig, persistence_image, resolve_config
+from .images import PIConfig, _capped_points, persistence_image, resolve_config
 from .landmarks import LandmarkSet, build_cover, select_landmarks
 from .persistence import _EMPTY_POINTS, PersistenceDiagram, diagram_distance
 
@@ -109,17 +109,6 @@ def perturb(g: Graph, spec: PerturbSpec,
                         g.node_features)
 
 
-def _capped(d: PersistenceDiagram, cfg: PIConfig, dimension: int) -> np.ndarray:
-    """Finite points of one dimension with essentials handled per the image's
-    essential policy, so drift distances stay finite under disconnection."""
-    pts = d.points_in(dimension)
-    ess = d.essential_in(dimension)
-    if ess.size and cfg.essential_policy == CAP:
-        capped = np.column_stack([ess, np.full(ess.shape, cfg.cap_value)])
-        pts = np.vstack([pts, capped]) if pts.size else capped
-    return pts
-
-
 def _local_drift(cells1: dict[int, np.ndarray], cells2: dict[int, np.ndarray],
                  dimension: int, p: float) -> float:
     """Sum of W_p between per-landmark capped point sets matched by landmark
@@ -158,13 +147,15 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         raise ValueError("budgets must be sorted ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1.0 <= wasserstein_p < np.inf:
+        raise ValueError(f"wasserstein_p must be finite and >= 1, got {wasserstein_p!r}")
     cfg = resolve_config(cfg, g)
 
     def encode(graph: Graph, ls: LandmarkSet) -> tuple:
         # cover, capped cell diagrams, global diagram and image of one graph
         cover = build_cover(graph, ls)
         kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
-        cells = {l: _capped(d, cfg, dimension)
+        cells = {l: _capped_points(d, cfg, dimension)
                  for l, d in local_cell_diagrams(cover, **kw).items()}
         glob = global_diagram(graph, fraction, cover=cover, **kw)
         return cover, cells, glob, persistence_image(glob, cfg, dimension)

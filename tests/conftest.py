@@ -284,6 +284,27 @@ def oracle_assemble(n, edge_scales, max_dim, max_scale):
     return simplices
 
 
+def ordered_simplices(f):
+    """(vertices, scale) pairs of a Filtration in its global order: by
+    (scale, dimension), each dimension's rows in their array order."""
+    pairs = [(tuple(v), s) for vs, ss in zip(f.vertices, f.scales)
+             for v, s in zip(vs.tolist(), ss.tolist())]
+    return sorted(pairs, key=lambda p: (p[1], len(p[0])))    # stable
+
+
+def oracle_sandwich(land, wit, alpha, epsilon, max_dim):
+    """sandwich_check by containment of frozensets of vertex tuples."""
+    from wtopo import vr_filtration, witness_filtration
+
+    if not alpha > 2.0 * epsilon:
+        return None
+    inner, middle, outer = (frozenset(vs for vs, _ in ordered_simplices(f)) for f in (
+        vr_filtration(land, max_dim, alpha / 3.0),
+        witness_filtration(land, wit, max_dim, alpha, nu=0),
+        vr_filtration(land, max_dim, 3.0 * alpha)))
+    return inner <= middle <= outer
+
+
 def oracle_reduction(simplices):
     """Diagram of (vertices, scale) pairs given in filtration order, by the
     standard reduction of the whole boundary matrix with set columns."""
@@ -312,11 +333,12 @@ def oracle_reduction(simplices):
 
 def oracle_betti_counts(filtration, alpha):
     """(betti0, betti1) of the <=1-skeleton at scale alpha via Euler counts."""
-    verts = [s for s in filtration.simplices if s.dim == 0 and s.scale <= alpha]
-    edges = [s for s in filtration.simplices if s.dim == 1 and s.scale <= alpha]
-    assert all(s.dim <= 1 for s in filtration.simplices if s.scale <= alpha), \
+    alive = [vs for vs, scale in ordered_simplices(filtration) if scale <= alpha]
+    verts = [vs for vs in alive if len(vs) == 1]
+    edges = [vs for vs in alive if len(vs) == 2]
+    assert len(verts) + len(edges) == len(alive), \
         "euler oracle only valid for max_dim <= 1 prefixes"
-    parent = {s.vertices[0]: s.vertices[0] for s in verts}
+    parent = {vs[0]: vs[0] for vs in verts}
 
     def find(x):
         while parent[x] != x:
@@ -324,8 +346,8 @@ def oracle_betti_counts(filtration, alpha):
             x = parent[x]
         return x
 
-    for e in edges:
-        a, b = find(e.vertices[0]), find(e.vertices[1])
+    for u, v in edges:
+        a, b = find(u), find(v)
         if a != b:
             parent[a] = b
     comps = len({find(v) for v in parent})

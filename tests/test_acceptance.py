@@ -7,8 +7,8 @@ import time
 
 import numpy as np
 
-from conftest import (diagram_of, oracle_reduction, random_connected_graph,
-                      random_diagram, random_filtration)
+from conftest import (diagram_of, oracle_reduction, ordered_simplices,
+                      random_connected_graph, random_diagram, random_filtration)
 from wtopo import (Graph, PIConfig, TopoLossConfig, all_pairs, build_cover,
                    compute_persistence, diagram_distance, geodesics,
                    persistence_image, sandwich_check, select_landmarks,
@@ -47,7 +47,7 @@ def test_union_find_reduction_oracle_equivalence():
         f = random_filtration(rng, n_max=30)
         uf = compute_persistence(f, UNION_FIND)
         red = compute_persistence(f, REDUCTION, homology_dims=(0,))
-        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
+        want = oracle_reduction(ordered_simplices(f))
         if (uf.points_in(0).tolist() != red.points_in(0).tolist()
                 or uf.essential_in(0).tolist() != red.essential_in(0).tolist()
                 or uf != diagram_of(want.points_in(0), want.essential_in(0))):

@@ -75,6 +75,17 @@ def test_distance_command(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == 1.0
 
 
+@pytest.mark.parametrize("p", ["inf", "nan", "0.5"])
+def test_distance_rejects_a_bad_wasserstein_exponent(tmp_path, capsys, p):
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps([{"dim": 0, "points": [[0.0, 4.0]], "essential": [0.0]}]))
+    assert run(["distance", "-i", str(d), str(d), "--mode", "wasserstein", "--p", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wtopo: error:") and captured.err.count("\n") == 1
+    assert "finite p >= 1" in captured.err
+
+
 def test_image_command(tmp_path, capsys):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps([{"dim": 0, "points": [[0.0, 2.0]],

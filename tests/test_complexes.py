@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_witness_edge_scales, random_connected_graph
+from conftest import (ordered_simplices, oracle_sandwich, oracle_witness_edge_scales,
+                      random_connected_graph, random_graph)
 from wtopo import (Graph, ValidationError, build_cover, geodesics,
                    is_weak_witness, sandwich_check, select_landmarks,
                    vr_filtration, witness_filtration)
@@ -13,28 +16,24 @@ def six_cycle_rows(landmarks):
     return rows[:, list(landmarks)], rows.T
 
 
-def as_pairs(filtration):
-    return [(s.vertices, s.scale) for s in filtration.simplices]
-
-
 def test_vr_basic():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     f = vr_filtration(d, max_dim=1, max_scale=2.0)
-    assert as_pairs(f) == [((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
-                           ((0, 1), 1.0), ((0, 2), 2.0)]
+    assert ordered_simplices(f) == [((0,), 0.0), ((1,), 0.0), ((2,), 0.0),
+                                    ((0, 1), 1.0), ((0, 2), 2.0)]
 
 
 def test_vr_clique_rule():
     d = np.ones((3, 3)) - np.eye(3)
     f = vr_filtration(d, max_dim=2, max_scale=1.0)
-    assert ((0, 1, 2), 1.0) in as_pairs(f)
+    assert ((0, 1, 2), 1.0) in ordered_simplices(f)
     assert len(f) == 7
 
 
 def test_vr_zero_scale_vertices_only():
     d = np.ones((3, 3)) - np.eye(3)
     f = vr_filtration(d, max_dim=2, max_scale=0.0)
-    assert as_pairs(f) == [((0,), 0.0), ((1,), 0.0), ((2,), 0.0)]
+    assert ordered_simplices(f) == [((0,), 0.0), ((1,), 0.0), ((2,), 0.0)]
 
 
 def test_vr_rejects_asymmetric():
@@ -46,29 +45,28 @@ def test_vr_rejects_asymmetric():
 def test_vr_unreachable_pairs_never_connect():
     d = np.array([[0.0, np.inf], [np.inf, 0.0]])
     f = vr_filtration(d, 1, 100.0)
-    assert as_pairs(f) == [((0,), 0.0), ((1,), 0.0)]
+    assert ordered_simplices(f) == [((0,), 0.0), ((1,), 0.0)]
 
 
 def test_witness_six_cycle_landmarks_024():
     land, wit = six_cycle_rows((0, 2, 4))
     f = witness_filtration(land, wit, max_dim=2, max_scale=np.inf, nu=0)
-    pairs = as_pairs(f)
+    pairs = ordered_simplices(f)
     for edge in ((0, 1), (0, 2), (1, 2)):
         assert (edge, 1.0) in pairs
     assert ((0, 1, 2), 1.0) in pairs
     # oracle agreement on every pair scale
     oracle = oracle_witness_edge_scales(wit, nu=0)
-    for s in f.simplices:
-        if s.dim == 1:
-            i, j = s.vertices
-            assert s.scale == oracle[i, j]
+    for vs, scale in ordered_simplices(f):
+        if len(vs) == 2:
+            assert scale == oracle[vs]
 
 
 def test_witness_single_landmark():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     rows = geodesics(g, [1]).dists
     f = witness_filtration(rows[:, [1]], rows.T, max_dim=1, max_scale=np.inf)
-    assert as_pairs(f) == [((0,), 0.0)]
+    assert ordered_simplices(f) == [((0,), 0.0)]
 
 
 def test_witness_landmarks_as_witnesses_oracle():
@@ -81,9 +79,9 @@ def test_witness_landmarks_as_witnesses_oracle():
         land = rows[:, list(ls.landmarks)]
         f = witness_filtration(land, land, max_dim=1, max_scale=np.inf, nu=0)
         oracle = oracle_witness_edge_scales(land, nu=0)
-        for s in f.simplices:
-            if s.dim == 1:
-                assert s.scale == oracle[s.vertices]
+        for vs, scale in ordered_simplices(f):
+            if len(vs) == 2:
+                assert scale == oracle[vs]
 
 
 def test_witness_nu_relaxation_matches_oracle():
@@ -96,7 +94,7 @@ def test_witness_nu_relaxation_matches_oracle():
         land = rows[:, list(ls.landmarks)]
         f = witness_filtration(land, rows.T, max_dim=1, max_scale=np.inf, nu=nu)
         oracle = oracle_witness_edge_scales(rows.T, nu=nu)
-        got = {s.vertices: s.scale for s in f.simplices if s.dim == 1}
+        got = {vs: scale for vs, scale in ordered_simplices(f) if len(vs) == 2}
         for i in range(len(ls.landmarks)):
             for j in range(i + 1, len(ls.landmarks)):
                 if np.isfinite(oracle[i, j]):
@@ -131,16 +129,16 @@ def test_filtration_sorted_and_face_closed():
                                    nu=int(rng.integers(0, 2)))
         seen = set()
         last_key = None
-        for s in f.simplices:
-            key = (s.scale, s.dim, s.vertices)
+        for vs, scale in ordered_simplices(f):
+            key = (scale, len(vs), vs)
             assert last_key is None or last_key <= key
             last_key = key
-            assert s.scale <= max_scale
-            for k in range(len(s.vertices)):
-                face = s.vertices[:k] + s.vertices[k + 1:]
+            assert scale <= max_scale
+            for k in range(len(vs)):
+                face = vs[:k] + vs[k + 1:]
                 if face:
                     assert face in seen        # every face precedes its cofaces
-            seen.add(s.vertices)
+            seen.add(vs)
 
 
 def test_filtration_monotone_in_max_scale():
@@ -153,8 +151,8 @@ def test_filtration_monotone_in_max_scale():
         land = rows[:, list(ls.landmarks)]
         small = vr_filtration(land, 2, 1.0)
         large = vr_filtration(land, 2, 3.0)
-        small_pairs = as_pairs(small)
-        assert as_pairs(large)[:len(small_pairs)] == small_pairs
+        small_pairs = ordered_simplices(small)
+        assert ordered_simplices(large)[:len(small_pairs)] == small_pairs
 
 
 def test_is_weak_witness_examples():
@@ -199,15 +197,42 @@ def test_is_weak_witness_rejects_bad_sigma():
         is_weak_witness(0, [7], wit)
 
 
-def test_filtration_jsonl_format():
-    import io
-    import json
+@pytest.mark.parametrize("w", [-1, -6, 6, 7])
+def test_is_weak_witness_rejects_a_witness_outside_the_rows(w):
+    land, wit = six_cycle_rows((0, 3))          # 6 witness rows
+    with pytest.raises(ValueError, match=r"^w must be a witness row in \[0, 6\)"):
+        is_weak_witness(w, [0], wit)
 
-    land, wit = six_cycle_rows((0, 2, 4))
-    f = witness_filtration(land, wit, 1, np.inf)
-    buf = io.StringIO()
-    f.to_jsonl(buf)
-    lines = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert len(lines) == len(f)
-    assert lines[0] == {"vertices": [0], "scale": 0.0}
-    assert all(set(obj) == {"vertices", "scale"} for obj in lines)
+
+@st.composite
+def sandwich_case(draw):
+    """Landmark (VR) rows of a seeded graph and, as witness rows, the rows of
+    a few of its nodes, with alpha a finite landmark distance times 1 or 3.
+    Few witnesses can miss a short VR edge at epsilon 0, so both outcomes
+    occur."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(6, 30))
+    g = (random_connected_graph(rng, n, extra=n // 4, weighted=draw(st.booleans()))
+         if draw(st.booleans()) else random_graph(rng, n, p=0.15))
+    ls = select_landmarks(g, draw(st.sampled_from([0.3, 0.5, 0.8])))
+    rows = geodesics(g, ls.landmarks).dists
+    land = rows[:, list(ls.landmarks)]
+    witnesses = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    scales = np.unique(land[np.isfinite(land) & (land > 0)]).tolist() or [1.0]
+    alpha = draw(st.sampled_from(scales)) * draw(st.sampled_from([3.0, 1.0]))
+    return land, rows[:, witnesses].T, alpha, draw(st.sampled_from([2, 1, 0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sandwich_case())
+def test_sandwich_check_matches_set_oracle(case):
+    land, wit, alpha, max_dim = case
+    assert sandwich_check(land, wit, alpha, 0.0, max_dim) \
+        == oracle_sandwich(land, wit, alpha, 0.0, max_dim)
+
+
+def test_every_public_name_resolves():
+    import wtopo
+
+    assert [name for name in wtopo.__all__ if not hasattr(wtopo, name)] == []
+    assert len(set(wtopo.__all__)) == len(wtopo.__all__)

@@ -347,6 +347,14 @@ def test_loss_config_validation():
     assert TopoLossConfig(1, 3).k == 3
 
 
+@pytest.mark.parametrize("x", [float("inf"), float("nan")])
+def test_loss_config_rejects_non_finite_exponents(x):
+    with pytest.raises(ValueError, match="^p must be finite"):
+        TopoLossConfig(p=x)
+    with pytest.raises(ValueError, match="^q must be finite"):
+        TopoLossConfig(q=x)
+
+
 def test_loss_monotone_in_death():
     rng = np.random.default_rng(65)
     for _ in range(20):

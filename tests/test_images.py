@@ -77,6 +77,47 @@ def test_cap_policy_requires_value():
         persistence_image(d, unit_cfg(policy="cap", cap=-1.0))
 
 
+def concatenated_points(d, cfg, dimension):
+    """(birth, persistence) rows of one dimension built column by column:
+    the finite births and persistences, then under CAP each essential birth
+    with persistence cap_value - birth; rows sorted by (birth, persistence)."""
+    pts = d.points_in(dimension)
+    births, pers = pts[:, 0], pts[:, 1] - pts[:, 0]
+    ess = d.essential_in(dimension)
+    if ess.size and cfg.essential_policy == "cap":
+        if cfg.cap_value is None:
+            raise ValueError("cap_value required to cap essential points")
+        cap_pers = cfg.cap_value - ess
+        if np.any(cap_pers <= 0.0):
+            raise ValidationError("cap_value must exceed every essential birth")
+        births, pers = np.concatenate([births, ess]), np.concatenate([pers, cap_pers])
+    out = np.column_stack([births, pers]) if births.size else np.empty((0, 2))
+    return out[np.lexsort((out[:, 1], out[:, 0]))] if out.shape[0] > 1 else out
+
+
+@pytest.mark.parametrize("policy, cap", [("cap", 2.5), ("cap", 0.5), ("cap", None),
+                                         ("drop", None)])
+@pytest.mark.parametrize("points", [[], [[0.0, 1.0], [0.25, 2.0]],
+                                    [[0.5, 0.5], [0.0, 1.0], [1.0, 1.0]]])
+@pytest.mark.parametrize("essential", [[], [0.75, 0.0, 0.75]])
+def test_diagram_points_match_the_column_construction(policy, cap, points, essential):
+    from wtopo.images import _diagram_points
+
+    # built directly, so zero-persistence finite points stay in the diagram
+    d = PersistenceDiagram({1: np.array(points, dtype=np.float64).reshape(-1, 2)},
+                           {1: np.array(essential, dtype=np.float64)})
+    cfg = unit_cfg(r=4, policy=policy, cap=cap)
+    try:
+        want = concatenated_points(d, cfg, 1)
+    except ValueError as exc:           # ValidationError included
+        with pytest.raises(type(exc), match=str(exc)):
+            _diagram_points(d, cfg, 1)
+        return
+    got = _diagram_points(d, cfg, 1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_single_point_image_frozen_values():
     # point (0, 2), R=2 over [0, 2] x [0, 2], sigma 1; values frozen from the
     # independently coded midpoint oracle

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (betti_from_diagram, diagram_of, oracle_betti_counts,
                       oracle_bottleneck, oracle_reduction, oracle_wasserstein,
-                      random_connected_graph, random_diagram, random_filtration,
+                      ordered_simplices, random_connected_graph, random_diagram, random_filtration,
                       random_graph)
 from wtopo import (REDUCTION, UNION_FIND, Filtration, all_pairs,
                    compute_persistence, diagram_distance, geodesics,
@@ -81,7 +81,7 @@ def test_union_find_reduction_equivalence_random():
         red = compute_persistence(f, REDUCTION, homology_dims=(0,))
         assert uf.points_in(0).tolist() == red.points_in(0).tolist()
         assert uf.essential_in(0).tolist() == red.essential_in(0).tolist()
-        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
+        want = oracle_reduction(ordered_simplices(f))
         assert uf == diagram_of(want.points_in(0), want.essential_in(0))
 
 
@@ -99,7 +99,7 @@ def test_forest_h0_matches_reduction_oracle():
         nu = int(rng.integers(0, min(2, len(marks)) + 1))
         f = witness_filtration(rows[:, marks], rows.T, 1,
                                float(rng.choice([np.inf, 1.5])), nu=nu)
-        want = oracle_reduction([(s.vertices, s.scale) for s in f.simplices])
+        want = oracle_reduction(ordered_simplices(f))
         got = compute_persistence(f, UNION_FIND)
         assert got == diagram_of(want.points_in(0), want.essential_in(0))
         zero_merges += want.essential_in(0).size + want.num_points(0) < len(marks)
@@ -112,7 +112,7 @@ def test_reduction_betti_oracle_random():
     for _ in range(30):
         f = random_filtration(rng, n_max=12, max_dim=1)
         d = compute_persistence(f, REDUCTION)
-        scales = sorted({s.scale for s in f.simplices}) + [np.inf]
+        scales = sorted({scale for _, scale in ordered_simplices(f)}) + [np.inf]
         for alpha in scales[:-1]:
             b0, b1 = oracle_betti_counts(f, alpha)
             assert betti_from_diagram(d, 0, alpha) == b0
@@ -199,6 +199,16 @@ def test_arguments_checked_before_essential_count_mismatch():
         diagram_distance(d1, d2, mode="nonsense")
     with pytest.raises(ValueError, match="p >= 1"):
         diagram_distance(d1, d2, mode="wasserstein", p=0.5)
+
+
+@pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+def test_wasserstein_rejects_an_exponent_that_is_not_finite_and_at_least_one(p):
+    d1 = diagram_of([[0, 1]], essential=[0.0])
+    d2 = diagram_of([[0, 3]], essential=[0.0])
+    for other in (d1, d2):              # equal diagrams once gave 1.0 at p = inf
+        with pytest.raises(ValueError, match=r"finite p >= 1, got p="):
+            diagram_distance(d1, other, mode="wasserstein", p=p)
+    assert diagram_distance(d1, d2, mode="bottleneck", p=p) == 1.5   # p is unused
 
 
 def test_essential_matched_by_sorted_births():

@@ -211,6 +211,23 @@ def test_sweep_rejects_unsorted_budgets():
                         loss_cfg=TopoLossConfig())
 
 
+@pytest.mark.parametrize("p", [0.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("budgets", [[0], [0, 3]])
+def test_sweep_rejects_a_bad_wasserstein_exponent_before_any_work(monkeypatch, p, budgets):
+    import wtopo.robustness as robustness
+
+    rng = np.random.default_rng(84)
+    g = random_connected_graph(rng, 10, extra=4)
+    cfg = default_config(g, grid_resolution=3)
+    calls = []
+    for name in ("select_landmarks", "build_cover", "perturb"):
+        monkeypatch.setattr(robustness, name, lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="^wasserstein_p must be finite and >= 1"):
+        stability_sweep(g, budgets, trials=1, fraction=0.3, cfg=cfg,
+                        loss_cfg=TopoLossConfig(), wasserstein_p=p)
+    assert calls == []
+
+
 def test_report_csv_header_and_shape():
     rng = np.random.default_rng(82)
     g = random_connected_graph(rng, 10, extra=4)
