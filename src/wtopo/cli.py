@@ -71,10 +71,7 @@ def _parse_range(flag: str, text: str) -> tuple[float, float]:
 
 
 def _image_config(args, g: Graph | None) -> PIConfig:
-    if g is None:
-        if not (args.birth_range and args.pers_range):
-            raise ValueError("--birth-range and --pers-range are required "
-                             "when no graph input is available")
+    if g is None:       # argparse requires both ranges where no graph is read
         return PIConfig(grid_resolution=args.grid,
                         birth_range=_parse_range("--birth-range", args.birth_range),
                         persistence_range=_parse_range("--pers-range", args.pers_range),
@@ -191,8 +188,12 @@ def _cmd_distance(args) -> int:
 
 def _cmd_perturb(args) -> int:
     g = _load_graph(args.input)
-    budget = args.budget if args.budget is not None \
-        else int(round(args.rate * g.num_edges))
+    budget = args.budget
+    if budget is None:
+        flips = args.rate * g.num_edges
+        if not (args.rate >= 0.0 and flips < float("inf")):     # NaN fails both
+            raise ValueError(f"--rate must be >= 0 and give a finite budget, got {args.rate}")
+        budget = int(round(flips))
     print(f"effective seed: {args.seed}", file=sys.stderr)
     landmarks = None
     if args.mode == "landmark-targeted":
@@ -205,7 +206,10 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_sweep(args) -> int:
     g = _load_graph(args.input)
-    budgets = [int(b) for b in args.budgets.split(",")]
+    try:
+        budgets = [int(b) for b in args.budgets.split(",")]
+    except ValueError:
+        raise ValueError(f"--budgets expects B0,B1,..., got {args.budgets!r}") from None
     print(f"effective seed: {args.seed}", file=sys.stderr)
     cfg = _image_config(args, g)
     report = stability_sweep(

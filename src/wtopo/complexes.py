@@ -18,6 +18,17 @@ def _sort_dim(verts: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.nda
     return verts[order], scales[order]
 
 
+def _check_parameters(max_dim: int, max_scale: float = 0.0, nu: int = 0,
+                      num_landmarks: int = 0) -> None:
+    # the one check of the complex parameters (NaN fails max_scale >= 0)
+    if max_dim not in (0, 1, 2):
+        raise ValueError("max_dim must be 0, 1 or 2")
+    if not max_scale >= 0.0:
+        raise ValueError(f"max_scale must be a number >= 0, got {max_scale}")
+    if not 0 <= nu <= num_landmarks:
+        raise ValueError("nu must be in [0, num_landmarks]")
+
+
 @dataclass(frozen=True, eq=False)
 class Filtration:
     """A filtered simplicial complex stored as one pair of arrays per dimension,
@@ -45,8 +56,7 @@ class Filtration:
         and in any order. Every face of every simplex must be present, and no
         simplex may repeat.
         """
-        if max_dim not in (0, 1, 2):
-            raise ValueError("max_dim must be 0, 1 or 2")
+        _check_parameters(max_dim)
         verts: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
         scales: list[list[float]] = [[] for _ in range(max_dim + 1)]
         for vs, scale in sorted((tuple(sorted(int(v) for v in vs)), float(scale))
@@ -135,10 +145,7 @@ def vr_filtration(dists: np.ndarray, max_dim: int, max_scale: float) -> Filtrati
     """Vietoris-Rips filtration: edge (i, j) enters at d(i, j), cliques at the
     max of their edge scales. UNREACHABLE pairs are never connected."""
     d = _validate_square(dists, "distance matrix")
-    if max_dim not in (0, 1, 2):
-        raise ValueError("max_dim must be 0, 1 or 2")
-    if max_scale < 0.0:
-        raise ValueError("max_scale must be non-negative")
+    _check_parameters(max_dim, max_scale)
     edge_scales = d.copy()
     np.fill_diagonal(edge_scales, np.inf)
     return _assemble(d.shape[0], edge_scales, max_dim, max_scale)
@@ -149,7 +156,7 @@ def relaxation_terms(witness_dists: np.ndarray, nu: int) -> np.ndarray:
 
     Witnesses with fewer than nu reachable landmarks get inf and never witness.
     """
-    n_wit, n_land = witness_dists.shape
+    n_wit = witness_dists.shape[0]
     if nu == 0:
         return np.zeros(n_wit, dtype=np.float64)
     m = np.full(n_wit, np.inf)
@@ -253,10 +260,7 @@ def witness_filtration(land_dists: np.ndarray, witness_dists: np.ndarray,
         raise ValidationError("witness_dists must be (num_witnesses, num_landmarks)")
     if wd.shape[0] == 0:
         raise ValidationError("witness set is empty")
-    if max_dim not in (0, 1, 2):
-        raise ValueError("max_dim must be 0, 1 or 2")
-    if not (0 <= nu <= land.shape[0]):
-        raise ValueError("nu must be in [0, num_landmarks]")
+    _check_parameters(max_dim, max_scale, nu, land.shape[0])
     return _witness_complex(wd, max_dim, max_scale, nu)
 
 

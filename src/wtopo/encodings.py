@@ -15,14 +15,11 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import _witness_complex
+from .complexes import _check_parameters, _witness_complex
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import REDUCTION, UNION_FIND, PersistenceDiagram, compute_persistence
-
-LOCAL = "local"
-GLOBAL = "global"
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,6 @@ class NodeFeatureMatrix:
     """Per-node feature rows (row-major flattened persistence images)."""
 
     values: np.ndarray            # (N, R*R) float64
-    provenance: str               # LOCAL or GLOBAL
 
     @property
     def num_nodes(self) -> int:
@@ -48,7 +44,7 @@ class NodeFeatureMatrix:
         fp.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
 
     @classmethod
-    def from_binary(cls, fp: IO[bytes], provenance: str = LOCAL) -> "NodeFeatureMatrix":
+    def from_binary(cls, fp: IO[bytes]) -> "NodeFeatureMatrix":
         """Inverse of ``to_binary``; the block must end where ``fp`` ends."""
         head, payload = fp.read(16), fp.read()
         if len(head) != 16:
@@ -60,7 +56,7 @@ class NodeFeatureMatrix:
             problem = "truncated" if len(payload) < n * cols * 8 else "trailing bytes"
             raise ValueError(f"feature matrix ({n}, {cols}): {problem}, {len(payload)} bytes")
         values = np.frombuffer(payload, dtype="<f8").reshape(n, cols)
-        return cls(values.astype(np.float64), provenance)
+        return cls(values.astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -82,21 +78,16 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _witness_diagrams(sizes: np.ndarray, blocks: dict[int, np.ndarray], max_dim: int,
-                      nu: int, dimension: int, max_scale: float) -> list[PersistenceDiagram]:
-    """Lazy-witness diagram of each of ``sizes.size`` blocks of geodesic rows,
-    block b over ``sizes[b]`` landmarks. ``blocks[b]`` holds the (witnesses,
-    landmarks) rows of every block with at least two landmarks; a block with
-    one landmark is one vertex, whose diagram is one essential 0, and needs
-    no rows. Dimension 0 keeps only H0, so the reduction stops there."""
-    if max_dim not in (0, 1, 2):
-        raise ValueError("max_dim must be 0, 1 or 2")
-    if not 0 <= nu <= sizes.min():
-        raise ValueError("nu must be in [0, num_landmarks]")
-    algorithm = UNION_FIND if dimension == 0 else REDUCTION
-    return [compute_persistence(_witness_complex(blocks[b], max_dim, max_scale, nu), algorithm)
-            if b in blocks else PersistenceDiagram({}, {0: np.zeros(1)})
-            for b in range(sizes.size)]
+def _block_diagram(rows: np.ndarray, marks: slice, witnesses: slice | tuple[int, ...],
+                   max_dim: int, max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
+    """Lazy-witness diagram of one block of geodesic rows: the landmarks
+    ``rows[marks]``, witnessed by the columns ``witnesses``. A block with one
+    landmark is one vertex, whose diagram is one essential 0; its rows are
+    never read. Dimension 0 keeps only H0, so the reduction stops there."""
+    if marks.stop - marks.start == 1:
+        return PersistenceDiagram({}, {0: np.zeros(1)})
+    f = _witness_complex(rows[marks, witnesses].T, max_dim, max_scale, nu)
+    return compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION)
 
 
 def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: int = 0,
@@ -110,13 +101,12 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     witnessed by its members.
     """
     keys, marks = zip(*cover.local_landmarks.items())
+    sizes = [len(m) for m in marks]
+    _check_parameters(max_dim, max_scale, nu, min(sizes))
     rows = geodesics(cover.cut, np.concatenate(marks)).dists
-    sizes = np.array([len(m) for m in marks])
-    starts = np.cumsum(sizes) - sizes
-    blocks = {b: rows[s:s + k, cover.cells[l]].T
-              for b, (l, s, k) in enumerate(zip(keys, starts.tolist(), sizes.tolist()))
-              if k > 1}
-    return dict(zip(keys, _witness_diagrams(sizes, blocks, max_dim, nu, dimension, max_scale)))
+    return {l: _block_diagram(rows, slice(e - k, e), cover.cells[l], max_dim, max_scale,
+                              nu, dimension)
+            for l, k, e in zip(keys, sizes, np.cumsum(sizes).tolist())}
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -137,7 +127,7 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
             index[key] = len(images)
             images.append(persistence_image(d, cfg, dimension).flatten())
         position[l] = index[key]
-    return NodeFeatureMatrix(np.stack(images)[position[cover.cell_of]], LOCAL)
+    return NodeFeatureMatrix(np.stack(images)[position[cover.cell_of]])
 
 
 def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -146,23 +136,19 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     """Witness persistence image of the whole graph: landmarks by degree, every
     node a witness, geodesic rows computed per landmark."""
     cfg = resolve_config(cfg, g)
-    diagram = global_diagram(g, fraction, max_dim=max_dim, dimension=dimension,
-                             nu=nu, max_scale=max_scale)
+    diagram = global_diagram(build_cover(g, select_landmarks(g, fraction)), max_dim=max_dim,
+                             dimension=dimension, nu=nu, max_scale=max_scale)
     return persistence_image(diagram, cfg, dimension)
 
 
-def global_diagram(g: Graph, fraction: float, max_dim: int = 1,
-                   dimension: int = 0, nu: int = 0,
-                   max_scale: float = np.inf,
-                   cover: Cover | None = None) -> PersistenceDiagram:
-    """Witness diagram of the whole graph over the cover's landmark rows; the
-    cover is built from ``fraction`` when not given."""
-    if cover is None:
-        cover = build_cover(g, select_landmarks(g, fraction))
-    rows = cover.rows.dists.T
-    sizes = np.array([rows.shape[1]])
-    return _witness_diagrams(sizes, {0: rows} if sizes[0] > 1 else {}, max_dim, nu,
-                             dimension, max_scale)[0]
+def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int = 0,
+                   max_scale: float = np.inf) -> PersistenceDiagram:
+    """Witness diagram of the whole graph over the cover's landmark rows,
+    witnessed by every node."""
+    rows = cover.rows.dists
+    _check_parameters(max_dim, max_scale, nu, len(rows))
+    return _block_diagram(rows, slice(0, len(rows)), slice(None), max_dim, max_scale, nu,
+                          dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

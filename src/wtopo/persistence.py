@@ -83,9 +83,13 @@ class PersistenceDiagram:
                 raise ValueError(f"dimension {d}: 'points' must be a list of [birth, death] pairs")
             if not (isinstance(ess, list) and all(map(_is_number, ess))):
                 raise ValueError(f"dimension {d}: 'essential' must be a flat list of births")
-            pts = np.array(pts, dtype=np.float64).reshape(-1, 2)
-            ess = np.array(ess, dtype=np.float64)
-            if not (np.isfinite(pts).all() and np.isfinite(ess).all()):
+            try:
+                pts = np.array(pts, dtype=np.float64).reshape(-1, 2)
+                ess = np.array(ess, dtype=np.float64)
+                finite = np.isfinite(pts).all() and np.isfinite(ess).all()
+            except OverflowError:       # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"dimension {d}: births and deaths must be finite")
             if (pts[:, 1] < pts[:, 0]).any():
                 raise ValueError(f"dimension {d}: a point dies before it is born")

@@ -157,7 +157,7 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
         cells = {l: _capped_points(d, cfg, dimension)
                  for l, d in local_cell_diagrams(cover, **kw).items()}
-        glob = global_diagram(graph, fraction, cover=cover, **kw)
+        glob = global_diagram(cover, **kw)
         return cover, cells, glob, persistence_image(glob, cfg, dimension)
 
     ls = select_landmarks(g, fraction)

@@ -204,7 +204,7 @@ def oracle_stability_rows(g, budgets, trials, fraction, cfg, loss_cfg, mode="ran
         cover = build_cover(copy, ls)
         kw = dict(max_dim=max_dim, nu=nu, dimension=dimension, max_scale=max_scale)
         cells = local_cell_diagrams(cover, **kw)
-        glob = global_diagram(copy, fraction, cover=cover, **kw)
+        glob = global_diagram(cover, **kw)
         return cover, cells, glob, persistence_image(glob, cfg, dimension)
 
     def capped(d):

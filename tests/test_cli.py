@@ -109,7 +109,9 @@ def test_image_command(tmp_path, capsys):
                                  [{"dim": -1, "points": [[0, 1]]}],
                                  [{"dim": 0, "points": [[0.5, float("inf")]]}],
                                  [{"dim": 0, "essential": [float("nan")]}],
-                                 [{"dim": 0, "points": [[3, 1], [0, 2]]}]])
+                                 [{"dim": 0, "points": [[3, 1], [0, 2]]}],
+                                 [{"dim": 0, "points": [[0, 10 ** 400]]}],
+                                 [{"dim": 0, "essential": [10 ** 400]}]])
 def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, obj):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps(obj))
@@ -251,6 +253,36 @@ def test_perturb_rate_conversion(cycle_path, tmp_path, capsys):
     if g2.num_nodes != g1.num_nodes:        # a flip may drop the max node id
         pytest.skip("node count changed by edge removal at the boundary")
     assert adjacency_l1_distance(g1, g2) == 2
+
+
+@pytest.mark.parametrize("rate", ["inf", "nan"])
+def test_perturb_rejects_a_rate_without_a_finite_budget(cycle_path, capsys, rate):
+    assert run(["perturb", "-i", cycle_path, "--rate", rate]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("wtopo: error: --rate must be >= 0 and give a finite budget, "
+                            f"got {rate}\n")
+
+
+def test_sweep_names_the_budgets_flag(cycle_path, capsys):
+    assert run(["sweep", "-i", cycle_path, "--budgets", "1,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wtopo: error: --budgets expects B0,B1,..., got '1,x'\n"
+
+
+@pytest.mark.parametrize("command", [["diagram", "--complex", "witness"],
+                                     ["diagram", "--complex", "vr"], ["global-features"]])
+def test_max_scale_must_be_a_number_at_least_zero(cycle_path, capsys, command):
+    for max_scale in ("-1", "nan"):
+        assert run([*command, "-i", cycle_path, "--max-scale", max_scale]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wtopo: error: max_scale must be a number >= 0, "
+                                f"got {float(max_scale)}\n")
+    for max_scale in ("0", "inf"):
+        assert run([*command, "-i", cycle_path, "--max-scale", max_scale]) == 0
+        assert capsys.readouterr().out
 
 
 def test_sweep_csv_cardinality(cycle_path, tmp_path, capsys):

@@ -34,7 +34,7 @@ def test_local_single_landmark_all_rows_identical():
     g = six_cycle()
     feats = local_encoding(g, 1 / 6, cfg_for(g))   # one landmark, one cell
     assert np.all(feats.values == feats.values[0])
-    assert feats.provenance == "local"
+    assert feats.num_nodes == g.num_nodes
 
 
 def test_local_broadcast_within_cells():
@@ -228,8 +228,8 @@ def test_global_diagram_matches_the_staged_witness_path():
                     for nu in range(3):
                         for max_scale in (np.inf, float(rng.uniform(0.5, 3.0))):
                             got = _diagram_or_error(lambda: global_diagram(
-                                g, ls.fraction, max_dim=max_dim, dimension=dimension,
-                                nu=nu, max_scale=max_scale, cover=cover))
+                                cover, max_dim=max_dim, dimension=dimension,
+                                nu=nu, max_scale=max_scale))
                             want = _diagram_or_error(lambda: compute_persistence(
                                 witness_filtration(rows.between_sources, rows.dists.T,
                                                    max_dim, max_scale, nu=nu),
@@ -237,6 +237,43 @@ def test_global_diagram_matches_the_staged_witness_path():
                             assert got == want
                             cases += isinstance(want, tuple)
     assert cases > 0
+
+
+def test_global_encoding_is_the_image_of_the_cover_diagram():
+    rng = np.random.default_rng(72)
+    for trial in range(6):
+        n = int(rng.integers(6, 25))
+        g = random_connected_graph(rng, n, extra=n // 2, weighted=trial % 3 == 1)
+        if trial % 3 == 2:               # two components and an isolated node
+            h = random_connected_graph(rng, n // 2, extra=2)
+            g = Graph.from_edges(n + n // 2 + 1, [
+                *zip(*g.edge_array.T, g.weights),
+                *zip(*(h.edge_array + n).T, h.weights)])
+        cfg, fraction = cfg_for(g), float(rng.uniform(0.1, 0.6))
+        for dimension, max_dim in ((0, 1), (1, 2)):
+            cover = build_cover(g, select_landmarks(g, fraction))
+            want = persistence_image(global_diagram(cover, max_dim=max_dim,
+                                                    dimension=dimension), cfg, dimension)
+            got = global_encoding(g, fraction, cfg, max_dim=max_dim, dimension=dimension)
+            assert np.array_equal(got.pixels, want.pixels) and got.config == want.config
+
+
+@pytest.mark.parametrize("max_scale", [-1.0, float("nan")])
+def test_every_builder_rejects_a_max_scale_below_zero_or_nan(max_scale):
+    g = six_cycle()
+    cover = build_cover(g, select_landmarks(g, 0.5))
+    rows, cfg = cover.rows, cfg_for(g)
+    message = f"^max_scale must be a number >= 0, got {max_scale}$"
+    for build in (lambda s: vr_filtration(rows.between_sources, 1, s),
+                  lambda s: witness_filtration(rows.between_sources, rows.dists.T, 1, s),
+                  lambda s: global_diagram(cover, max_scale=s),
+                  lambda s: local_cell_diagrams(cover, max_scale=s),
+                  lambda s: global_encoding(g, 0.5, cfg, max_scale=s),
+                  lambda s: local_encoding(g, 0.5, cfg, max_scale=s)):
+        with pytest.raises(ValueError, match=message):
+            build(max_scale)
+        build(0.0)
+        build(np.inf)
 
 
 def test_global_deterministic():
@@ -280,8 +317,9 @@ def test_global_six_cycle_image_matches_manual_diagram():
 def test_max_scale_caps_the_filtration():
     # a max_scale too small for any merge leaves every landmark essential
     g = six_cycle()
-    full = global_diagram(g, 0.5)
-    capped = global_diagram(g, 0.5, max_scale=0.5)
+    cover = build_cover(g, select_landmarks(g, 0.5))
+    full = global_diagram(cover)
+    capped = global_diagram(cover, max_scale=0.5)
     assert full.num_points(0) > 0
     assert capped.num_points(0) == 0
     assert capped.essential_in(0).shape[0] == 3   # one component per landmark
@@ -289,7 +327,7 @@ def test_max_scale_caps_the_filtration():
 
 def test_feature_matrix_csv_and_binary_roundtrip(tmp_path):
     values = np.arange(12, dtype=float).reshape(3, 4)
-    feats = NodeFeatureMatrix(values, "local")
+    feats = NodeFeatureMatrix(values)
     buf = io.StringIO()
     feats.to_csv(buf)
     assert len(buf.getvalue().splitlines()) == 3
@@ -375,7 +413,7 @@ def test_loss_bounded_by_diameter_corollary():
     for _ in range(20):
         g = random_connected_graph(rng, int(rng.integers(5, 20)), extra=4)
         diam = diameter(g)
-        diag = global_diagram(g, 0.4)
+        diag = global_diagram(build_cover(g, select_landmarks(g, 0.4)))
         pts = diag.points_in(0)
         cfg = TopoLossConfig(2, 1)
         m = pts.shape[0]

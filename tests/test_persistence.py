@@ -142,6 +142,16 @@ def test_diagram_json_rejects_repeated_negative_and_non_finite(obj, dim):
         PersistenceDiagram.from_json_obj(json.loads(json.dumps(obj)))   # NaN, Infinity
 
 
+@pytest.mark.parametrize("entry", [{"points": [[0, 10 ** 400]]},
+                                   {"points": [[-10 ** 400, 1]]},
+                                   {"essential": [10 ** 400]}],
+                         ids=["death", "birth", "essential"])
+def test_diagram_json_rejects_an_integer_beyond_the_float_range(entry):
+    text = json.dumps([{"dim": 1, **entry}])        # 400-digit JSON integers
+    with pytest.raises(ValueError, match="^dimension 1: births and deaths must be finite$"):
+        PersistenceDiagram.from_json_obj(json.loads(text))
+
+
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
