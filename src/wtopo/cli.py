@@ -1,9 +1,10 @@
 """wtopo command-line front end.
 
 Exit codes: 0 success, 1 runtime/validation error, 2 usage error. Structured
-objects are written as JSON, matrices and reports as CSV; every output file is
-written atomically (temp file + rename). Randomized subcommands print the
-effective seed.
+objects are written as JSON, matrices and reports as CSV. Each subcommand
+returns its output, text or bytes, and ``main`` alone writes it: to stdout,
+or with -o atomically (temp file + rename); bytes need -o. Randomized
+subcommands print the effective seed.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from .encodings import (TopoLossConfig, global_encoding, local_encoding,
                         topo_loss)
 from .graph import Graph, load_edge_list
 from .images import CAP, DROP, PIConfig, default_config, persistence_image
-from .landmarks import build_cover, select_landmarks
+from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
                           compute_persistence, diagram_distance)
-from .robustness import PerturbSpec, perturb, stability_sweep
+from .robustness import (LANDMARK_TARGETED, RANDOM, PerturbSpec, perturb,
+                         stability_sweep)
 
 
 def _atomic_write(path: str, data: str | bytes) -> None:
@@ -45,13 +47,6 @@ def _atomic_write(path: str, data: str | bytes) -> None:
         raise
 
 
-def _emit(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
-
-
 def _load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fp:
         return load_edge_list(fp)
@@ -62,19 +57,25 @@ def _load_diagram(path: str) -> PersistenceDiagram:
         return PersistenceDiagram.from_json_obj(json.load(fp))
 
 
-def _parse_range(flag: str, text: str) -> tuple[float, float]:
+def _cover(args) -> Cover:
+    g = _load_graph(args.input)
+    return build_cover(g, select_landmarks(g, args.fraction))
+
+
+def _range(args, key: str) -> tuple[float, float]:
+    text = getattr(args, key)
     try:
         lo, hi = (float(t) for t in text.split(","))
     except ValueError:
-        raise ValueError(f"{flag} expects LO,HI, got {text!r}") from None
+        raise ValueError(f"{_FLAGS[key][0][0]} expects LO,HI, got {text!r}") from None
     return lo, hi
 
 
 def _image_config(args, g: Graph | None) -> PIConfig:
     if g is None:       # argparse requires both ranges where no graph is read
         return PIConfig(grid_resolution=args.grid,
-                        birth_range=_parse_range("--birth-range", args.birth_range),
-                        persistence_range=_parse_range("--pers-range", args.pers_range),
+                        birth_range=_range(args, "birth_range"),
+                        persistence_range=_range(args, "pers_range"),
                         sigma=args.sigma,
                         essential_policy=args.essential_policy,
                         cap_value=args.cap_value)
@@ -83,110 +84,86 @@ def _image_config(args, g: Graph | None) -> PIConfig:
     cfg = default_config(g, grid_resolution=args.grid, sigma=args.sigma,
                          essential_policy=args.essential_policy)
     if args.birth_range:
-        cfg = replace(cfg, birth_range=_parse_range("--birth-range", args.birth_range))
+        cfg = replace(cfg, birth_range=_range(args, "birth_range"))
     if args.pers_range:
-        cfg = replace(cfg, persistence_range=_parse_range("--pers-range", args.pers_range))
+        cfg = replace(cfg, persistence_range=_range(args, "pers_range"))
     if args.cap_value is not None:
         cfg = replace(cfg, cap_value=args.cap_value)
     return cfg
 
 
-def _diagram_json(d: PersistenceDiagram) -> str:
-    return json.dumps(d.to_json_obj(), separators=(",", ":")) + "\n"
+def _encoding_kw(args) -> dict:
+    return dict(max_dim=args.max_dim, dimension=args.dimension, nu=args.nu,
+                max_scale=args.max_scale)
 
 
-def _written(write) -> str:
-    # the text a writer such as ``to_csv`` puts into a file object
-    buf = io.StringIO()
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _written(write, buffer=io.StringIO) -> str | bytes:
+    # what a writer such as ``to_csv`` puts into a file object
+    buf = buffer()
     write(buf)
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its output, which only ``main`` writes
 # ---------------------------------------------------------------------------
 
-def _cmd_landmarks(args) -> int:
-    g = _load_graph(args.input)
-    ls = select_landmarks(g, args.fraction)
-    _emit(args.output, json.dumps({"landmarks": list(ls.landmarks),
-                                   "fraction": ls.fraction},
-                                  separators=(",", ":")) + "\n")
-    return 0
+def _cmd_landmarks(args) -> str:
+    ls = select_landmarks(_load_graph(args.input), args.fraction)
+    return _json({"landmarks": list(ls.landmarks), "fraction": ls.fraction})
 
 
-def _cmd_cover(args) -> int:
-    g = _load_graph(args.input)
-    cover = build_cover(g, select_landmarks(g, args.fraction))
-    _emit(args.output, cover.to_json() + "\n")
-    return 0
+def _cmd_cover(args) -> str:
+    return _cover(args).to_json() + "\n"
 
 
-def _cmd_diagram(args) -> int:
-    g = _load_graph(args.input)
-    rows = build_cover(g, select_landmarks(g, args.fraction)).rows
+def _cmd_diagram(args) -> str:
+    rows = _cover(args).rows
     if args.complex == "witness":
         filt = witness_filtration(rows.between_sources, rows.dists.T,
                                   args.max_dim, args.max_scale, nu=args.nu)
     else:
         filt = vr_filtration(rows.between_sources, args.max_dim, args.max_scale)
-    diagram = compute_persistence(filt, args.algorithm)
-    _emit(args.output, _diagram_json(diagram))
-    return 0
+    return _json(compute_persistence(filt, args.algorithm).to_json_obj())
 
 
-def _cmd_image(args) -> int:
-    d = _load_diagram(args.input)
-    cfg = _image_config(args, None)
-    img = persistence_image(d, cfg, args.dimension)
-    _emit(args.output, _written(img.to_csv))
-    return 0
+def _cmd_image(args) -> str:
+    img = persistence_image(_load_diagram(args.input), _image_config(args, None),
+                            args.dimension)
+    return _written(img.to_csv)
 
 
-def _cmd_local_features(args) -> int:
+def _cmd_local_features(args) -> str | bytes:
     g = _load_graph(args.input)
-    cfg = _image_config(args, g)
-    feats = local_encoding(g, args.fraction, cfg, max_dim=args.max_dim,
-                           dimension=args.dimension, nu=args.nu,
-                           max_scale=args.max_scale)
+    feats = local_encoding(g, args.fraction, _image_config(args, g), **_encoding_kw(args))
     if args.format == "bin":
-        if args.output is None:
-            raise ValueError("binary output needs -o/--output")
-        buf = io.BytesIO()
-        feats.to_binary(buf)
-        _atomic_write(args.output, buf.getvalue())
-    else:
-        _emit(args.output, _written(feats.to_csv))
-    return 0
+        return _written(feats.to_binary, io.BytesIO)
+    return _written(feats.to_csv)
 
 
-def _cmd_global_features(args) -> int:
+def _cmd_global_features(args) -> str:
     g = _load_graph(args.input)
-    cfg = _image_config(args, g)
-    img = global_encoding(g, args.fraction, cfg, max_dim=args.max_dim,
-                          dimension=args.dimension, nu=args.nu,
-                          max_scale=args.max_scale)
-    _emit(args.output, _written(img.to_csv))
-    return 0
+    img = global_encoding(g, args.fraction, _image_config(args, g), **_encoding_kw(args))
+    return _written(img.to_csv)
 
 
-def _cmd_loss(args) -> int:
+def _cmd_loss(args) -> str:
     d = _load_diagram(args.input)
-    value = topo_loss(d, TopoLossConfig(args.p, args.q), args.dimension)
-    _emit(args.output, repr(value) + "\n")
-    return 0
+    return repr(topo_loss(d, TopoLossConfig(args.p, args.q), args.dimension)) + "\n"
 
 
-def _cmd_distance(args) -> int:
-    d1 = _load_diagram(args.inputs[0])
-    d2 = _load_diagram(args.inputs[1])
+def _cmd_distance(args) -> str:
+    d1, d2 = (_load_diagram(path) for path in args.inputs)
     value = diagram_distance(d1, d2, mode=args.mode, p=args.p,
                              dimension=args.dimension, essential=args.essential)
-    _emit(args.output, repr(value) + "\n")
-    return 0
+    return repr(value) + "\n"
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> str:
     g = _load_graph(args.input)
     budget = args.budget
     if budget is None:
@@ -196,85 +173,91 @@ def _cmd_perturb(args) -> int:
         budget = int(round(flips))
     print(f"effective seed: {args.seed}", file=sys.stderr)
     landmarks = None
-    if args.mode == "landmark-targeted":
+    if args.mode == LANDMARK_TARGETED:
         landmarks = select_landmarks(g, args.fraction).landmarks
     g2 = perturb(g, PerturbSpec(budget=budget, mode=args.mode, seed=args.seed),
                  landmarks=landmarks)
-    _emit(args.output, _written(g2.to_edge_list))
-    return 0
+    return _written(g2.to_edge_list)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     g = _load_graph(args.input)
     try:
         budgets = [int(b) for b in args.budgets.split(",")]
     except ValueError:
         raise ValueError(f"--budgets expects B0,B1,..., got {args.budgets!r}") from None
     print(f"effective seed: {args.seed}", file=sys.stderr)
-    cfg = _image_config(args, g)
     report = stability_sweep(
-        g, budgets, args.trials, args.fraction, cfg,
+        g, budgets, args.trials, args.fraction, _image_config(args, g),
         TopoLossConfig(args.p, args.q), mode=args.mode, base_seed=args.seed,
-        freeze_landmarks=args.freeze_landmarks, max_dim=args.max_dim,
-        dimension=args.dimension, nu=args.nu, max_scale=args.max_scale)
-    _emit(args.output, _written(report.to_csv))
-    return 0
+        freeze_landmarks=args.freeze_landmarks, **_encoding_kw(args))
+    return _written(report.to_csv)
 
 
-def _cmd_sandwich(args) -> int:
-    g = _load_graph(args.input)
-    cover = build_cover(g, select_landmarks(g, args.fraction))
+def _cmd_sandwich(args) -> str:
+    cover = _cover(args)
     alpha = args.alpha if args.alpha is not None else 2.0 * cover.cover_radius + 1.0
     result = sandwich_check(cover.rows.between_sources, cover.rows.dists.T, alpha,
                             cover.cover_radius, args.max_dim)
-    text = "not-applicable" if result is None else ("true" if result else "false")
-    _emit(args.output, text + "\n")
-    return 0
+    return ("not-applicable" if result is None else ("true" if result else "false")) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_graph_input(p):
-    p.add_argument("-i", "--input", required=True, help="edge-list file")
+def _flag(*strings: str, **kw) -> tuple[tuple[str, ...], dict]:
+    return strings, kw
 
 
-def _add_output(p):
-    p.add_argument("-o", "--output", default=None,
-                   help="output path (default: stdout)")
+# every flag that several subcommands take, defined once; a subcommand names
+# the keys of those it takes, so a shared flag means the same in each
+_FLAGS = {
+    "input": _flag("-i", "--input", required=True,
+                   help="edge-list file (image, loss: diagram JSON file)"),
+    "output": _flag("-o", "--output", default=None, help="output path (default: stdout)"),
+    "fraction": _flag("--fraction", type=float, default=0.05,
+                      help="landmark fraction of N (default 0.05)"),
+    "max_dim": _flag("--max-dim", type=int, default=1,
+                     help="max simplex dimension, 0-2 (default 1)"),
+    "max_scale": _flag("--max-scale", type=float, default=float("inf"),
+                       help="scale cap for the filtration (default inf)"),
+    "nu": _flag("--nu", type=int, default=0, help="witness relaxation order (default 0)"),
+    "grid": _flag("--grid", type=int, default=10,
+                  help="image resolution R (image is R x R, default 10)"),
+    "sigma": _flag("--sigma", type=float, default=1.0,
+                   help="Gaussian kernel bandwidth (default 1.0)"),
+    "birth_range": _flag("--birth-range", default=None, metavar="LO,HI",
+                         help="birth axis range (default: [0, LCC diameter]; "
+                              "required by image)"),
+    "pers_range": _flag("--pers-range", default=None, metavar="LO,HI",
+                        help="persistence axis range (default: [0, LCC diameter]; "
+                             "required by image)"),
+    "essential_policy": _flag("--essential-policy", choices=[DROP, CAP], default=CAP,
+                              help="how essential points enter the image (default cap)"),
+    "cap_value": _flag("--cap-value", type=float, default=None,
+                       help="death value for capped essential points "
+                            "(default: max(LCC diameter, 1) + 1)"),
+    "dimension": _flag("--dimension", type=int, default=0,
+                       help="homology dimension, >= 0 (default 0)"),
+    "seed": _flag("--seed", type=int, default=0,
+                  help="RNG seed, sweep trial t uses seed + t "
+                       "(default 0; printed on stderr)"),
+    "flip_mode": _flag("--mode", choices=[RANDOM, LANDMARK_TARGETED], default=RANDOM,
+                       help="candidate pairs to flip: any, or touching a landmark "
+                            "(default random)"),
+    "p": _flag("--p", type=float, default=2.0, help="loss persistence exponent (default 2)"),
+    "q": _flag("--q", type=float, default=0.0, help="loss midlife exponent (default 0)"),
+}
+_COMPLEX = ("fraction", "max_dim", "max_scale", "nu")
+_IMAGE = ("grid", "sigma", "birth_range", "pers_range", "essential_policy", "cap_value",
+          "dimension")
 
 
-def _add_image_flags(p, require_ranges: bool = False):
-    p.add_argument("--grid", type=int, default=10,
-                   help="image resolution R (image is R x R, default 10)")
-    p.add_argument("--sigma", type=float, default=1.0,
-                   help="Gaussian kernel bandwidth (default 1.0)")
-    range_default = "required" if require_ranges else "default: [0, LCC diameter]"
-    p.add_argument("--birth-range", default=None, metavar="LO,HI",
-                   required=require_ranges,
-                   help=f"birth axis range ({range_default})")
-    p.add_argument("--pers-range", default=None, metavar="LO,HI",
-                   required=require_ranges,
-                   help=f"persistence axis range ({range_default})")
-    p.add_argument("--essential-policy", choices=[DROP, CAP], default=CAP,
-                   help="how essential points enter the image (default cap)")
-    p.add_argument("--cap-value", type=float, default=None,
-                   help="death value for capped essential points "
-                        "(default: max(LCC diameter, 1) + 1)")
-    p.add_argument("--dimension", type=int, default=0,
-                   help="homology dimension to vectorize (default 0)")
-
-
-def _add_complex_flags(p):
-    p.add_argument("--fraction", type=float, default=0.05,
-                   help="landmark fraction of N (default 0.05)")
-    p.add_argument("--max-dim", type=int, default=1,
-                   help="max simplex dimension, 0-2 (default 1)")
-    p.add_argument("--max-scale", type=float, default=float("inf"),
-                   help="scale cap for the filtration (default inf)")
-    p.add_argument("--nu", type=int, default=0,
-                   help="witness relaxation order (default 0)")
+def _add(p: argparse.ArgumentParser, *keys: str, **override) -> None:
+    for key in keys:
+        strings, kw = _FLAGS[key]
+        p.add_argument(*strings, **{**kw, **override})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,141 +267,85 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("landmarks", help="select landmarks by degree")
-    _add_graph_input(p)
-    p.add_argument("--fraction", type=float, default=0.05,
-                   help="landmark fraction of N (default 0.05)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_landmarks)
+    def command(name, func, help, *keys) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        _add(p, *keys, "output")
+        return p
 
-    p = sub.add_parser("cover", help="build the landmark Voronoi cover")
-    _add_graph_input(p)
-    p.add_argument("--fraction", type=float, default=0.05,
-                   help="landmark fraction of N (default 0.05)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_cover)
+    command("landmarks", _cmd_landmarks, "select landmarks by degree", "input", "fraction")
+    command("cover", _cmd_cover, "build the landmark Voronoi cover", "input", "fraction")
 
-    p = sub.add_parser("diagram", help="persistence diagram of a filtration")
-    _add_graph_input(p)
+    p = command("diagram", _cmd_diagram, "persistence diagram of a filtration",
+                "input", *_COMPLEX)
     p.add_argument("--complex", choices=["witness", "vr"], default="witness",
                    help="filtration kind (default witness)")
-    _add_complex_flags(p)
-    p.add_argument("--algorithm", choices=[UNION_FIND, REDUCTION],
-                   default=REDUCTION,
+    p.add_argument("--algorithm", choices=[UNION_FIND, REDUCTION], default=REDUCTION,
                    help="persistence algorithm, union-find: dimension 0 only "
                         "(default reduction: every dimension)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_diagram)
 
-    p = sub.add_parser("image", help="persistence image of a diagram")
-    p.add_argument("-i", "--input", required=True, help="diagram JSON file")
-    _add_image_flags(p, require_ranges=True)
-    _add_output(p)
-    p.set_defaults(func=_cmd_image)
+    p = command("image", _cmd_image, "persistence image of a diagram", "input",
+                "grid", "sigma", "essential_policy", "cap_value", "dimension")
+    _add(p, "birth_range", "pers_range", required=True)
 
-    p = sub.add_parser("local-features", help="per-node local feature matrix")
-    _add_graph_input(p)
-    _add_complex_flags(p)
-    _add_image_flags(p)
+    p = command("local-features", _cmd_local_features, "per-node local feature matrix",
+                "input", *_COMPLEX, *_IMAGE)
     p.add_argument("--format", choices=["csv", "bin"], default="csv",
-                   help="output format (default csv)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_local_features)
+                   help="output format, bin needs -o (default csv)")
 
-    p = sub.add_parser("global-features", help="whole-graph persistence image")
-    _add_graph_input(p)
-    _add_complex_flags(p)
-    _add_image_flags(p)
-    _add_output(p)
-    p.set_defaults(func=_cmd_global_features)
+    command("global-features", _cmd_global_features, "whole-graph persistence image",
+            "input", *_COMPLEX, *_IMAGE)
+    command("loss", _cmd_loss, "topological loss of a diagram", "input", "p", "q",
+            "dimension")
 
-    p = sub.add_parser("loss", help="topological loss of a diagram")
-    p.add_argument("-i", "--input", required=True, help="diagram JSON file")
-    p.add_argument("--p", type=float, default=2.0,
-                   help="persistence exponent (default 2)")
-    p.add_argument("--q", type=float, default=0.0,
-                   help="midlife exponent (default 0)")
-    p.add_argument("--dimension", type=int, default=0,
-                   help="homology dimension (default 0)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_loss)
-
-    p = sub.add_parser("distance", help="distance between two diagrams")
+    p = command("distance", _cmd_distance, "distance between two diagrams", "dimension")
     p.add_argument("-i", "--inputs", nargs=2, required=True,
                    metavar=("D1", "D2"), help="two diagram JSON files")
     p.add_argument("--mode", choices=["bottleneck", "wasserstein"],
                    default="bottleneck", help="distance kind (default bottleneck)")
     p.add_argument("--p", type=float, default=1.0,
                    help="Wasserstein exponent, >= 1 (default 1)")
-    p.add_argument("--dimension", type=int, default=0,
-                   help="homology dimension (default 0)")
     p.add_argument("--essential", choices=["match", "drop"], default="match",
                    help="essential-point policy (default match)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("perturb", help="flip random undirected pairs")
-    _add_graph_input(p)
+    p = command("perturb", _cmd_perturb, "flip random undirected pairs",
+                "input", "flip_mode", "fraction", "seed")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--budget", type=int, default=None,
                      help="number of undirected pair flips")
     grp.add_argument("--rate", type=float, default=None,
                      help="flip budget as a fraction of the edge count")
-    p.add_argument("--mode", choices=["random", "landmark-targeted"],
-                   default="random", help="candidate pair pool (default random)")
-    p.add_argument("--fraction", type=float, default=0.05,
-                   help="landmark fraction for landmark-targeted mode "
-                        "(default 0.05)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="RNG seed (default 0; printed on stderr)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("sweep", help="stability sweep over flip budgets")
-    _add_graph_input(p)
+    p = command("sweep", _cmd_sweep, "stability sweep over flip budgets",
+                "input", "seed", "flip_mode", *_COMPLEX, *_IMAGE, "p", "q")
     p.add_argument("--budgets", required=True, metavar="B0,B1,...",
                    help="comma-separated ascending flip budgets")
-    p.add_argument("--trials", type=int, default=1,
-                   help="trials per budget (default 1)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base RNG seed (default 0; printed on stderr)")
-    p.add_argument("--mode", choices=["random", "landmark-targeted"],
-                   default="random", help="perturbation mode (default random)")
+    p.add_argument("--trials", type=int, default=1, help="trials per budget (default 1)")
     p.add_argument("--freeze-landmarks", action="store_true",
                    help="reuse the clean graph's landmarks on perturbed graphs")
-    _add_complex_flags(p)
-    _add_image_flags(p)
-    p.add_argument("--p", type=float, default=2.0,
-                   help="loss persistence exponent (default 2)")
-    p.add_argument("--q", type=float, default=0.0,
-                   help="loss midlife exponent (default 0)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("sandwich",
-                       help="check the witness complex sits between VR at "
-                            "alpha/3 and VR at 3*alpha")
-    _add_graph_input(p)
-    p.add_argument("--fraction", type=float, default=0.05,
-                   help="landmark fraction of N (default 0.05)")
+    p = command("sandwich", _cmd_sandwich,
+                "check the witness complex sits between VR at alpha/3 and VR at 3*alpha",
+                "input", "fraction", "max_dim")
     p.add_argument("--alpha", type=float, default=None,
                    help="scale to test (default: 2*cover_radius + 1)")
-    p.add_argument("--max-dim", type=int, default=1,
-                   help="max simplex dimension, 0-2 (default 1)")
-    _add_output(p)
-    p.set_defaults(func=_cmd_sandwich)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        if args.output is not None:
+            _atomic_write(args.output, out)
+        elif isinstance(out, bytes):
+            raise ValueError("binary output needs -o/--output")
+        else:
+            sys.stdout.write(out)
     except (ValueError, OSError) as exc:
         print(f"wtopo: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

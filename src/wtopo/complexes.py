@@ -287,7 +287,12 @@ def sandwich_check(land_dists: np.ndarray, witness_dists: np.ndarray,
                    alpha: float, epsilon: float, max_dim: int) -> bool | None:
     """Check VR at alpha/3 is inside the witness complex at alpha which is
     inside VR at 3*alpha (as simplex sets). Returns None (not applicable)
-    when the hypothesis alpha > 2*epsilon fails."""
+    when the hypothesis alpha > 2*epsilon fails; ``max_dim`` and a NaN
+    ``alpha`` or ``epsilon`` are checked first."""
+    _check_parameters(max_dim)
+    for name, x in (("alpha", alpha), ("epsilon", epsilon)):
+        if np.isnan(x):
+            raise ValueError(f"{name} must be a number, got {x}")
     if not alpha > 2.0 * epsilon:
         return None
     inner = vr_filtration(land_dists, max_dim, alpha / 3.0)

@@ -19,7 +19,8 @@ from .complexes import _check_parameters, _witness_complex
 from .graph import Graph, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import REDUCTION, UNION_FIND, PersistenceDiagram, compute_persistence
+from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram, _check_dimension,
+                          compute_persistence)
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,7 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
                    max_scale: float = np.inf) -> NodeFeatureMatrix:
     """Per-node rows: the cell's witness persistence image, broadcast to every
     node of the cell (nodes sharing a cell get identical rows)."""
+    _check_dimension(dimension)
     cfg = resolve_config(cfg, g)
     cover = build_cover(g, select_landmarks(g, fraction))
     diagrams = local_cell_diagrams(cover, max_dim=max_dim, nu=nu,
@@ -135,6 +137,7 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
                     max_scale: float = np.inf) -> PersistenceImage:
     """Witness persistence image of the whole graph: landmarks by degree, every
     node a witness, geodesic rows computed per landmark."""
+    _check_dimension(dimension)
     cfg = resolve_config(cfg, g)
     diagram = global_diagram(build_cover(g, select_landmarks(g, fraction)), max_dim=max_dim,
                              dimension=dimension, nu=nu, max_scale=max_scale)
@@ -154,6 +157,7 @@ def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int =
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:
     """Persistence penalty sum((d_i - b_i)^p ((d_i + b_i)/2)^q) over the finite
     points of one dimension (essential points excluded; empty diagram -> 0)."""
+    _check_dimension(dimension)
     pts = d.points_in(dimension)
     if pts.shape[0] == 0:
         return 0.0
@@ -167,6 +171,7 @@ def topo_loss_grad(d: PersistenceDiagram, cfg: TopoLossConfig,
     """Per-point (dL/db_i, dL/dd_i) for the loss above, in the diagram's sorted
     point order. Terms whose coefficient (p or q) is zero contribute nothing,
     so zero bases never meet negative exponents."""
+    _check_dimension(dimension)
     pts = d.points_in(dimension)
     if pts.shape[0] == 0:
         return np.empty((0, 2))

@@ -9,7 +9,7 @@ from typing import IO
 import numpy as np
 
 from .graph import Graph, ValidationError, diameter, largest_connected_component
-from .persistence import PersistenceDiagram
+from .persistence import PersistenceDiagram, _check_dimension
 
 DROP = "drop"
 CAP = "cap"
@@ -57,6 +57,11 @@ class PersistenceImage:
 
     pixels: np.ndarray
     config: PIConfig
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PersistenceImage):
+            return NotImplemented
+        return self.config == other.config and np.array_equal(self.pixels, other.pixels)
 
     def flatten(self) -> np.ndarray:
         return self.pixels.reshape(-1)      # row-major: index = i * R + j
@@ -133,6 +138,7 @@ def persistence_image(d: PersistenceDiagram, cfg: PIConfig,
                       dimension: int = 0) -> PersistenceImage:
     """Gaussian-kernel image of one diagram dimension in birth-persistence
     coordinates, weighted by persistence (empty diagram -> zero image)."""
+    _check_dimension(dimension)
     r = cfg.grid_resolution
     pts = _diagram_points(d, cfg, dimension)
     if pts.shape[0] == 0:

@@ -17,6 +17,12 @@ _EMPTY_POINTS = np.empty((0, 2), dtype=np.float64)
 _EMPTY_BIRTHS = np.empty(0, dtype=np.float64)
 
 
+def _check_dimension(dimension: int) -> None:
+    # the one rule on the homology dimension a caller asks for
+    if not dimension >= 0:
+        raise ValueError(f"dimension must be >= 0, got {dimension}")
+
+
 def _is_number(x) -> bool:
     return type(x) in (int, float)      # a JSON number; bool is not one
 
@@ -295,6 +301,7 @@ def diagram_distance(d1: PersistenceDiagram, d2: PersistenceDiagram,
     ignored (``essential="drop"``). Wasserstein uses an exact assignment and
     requires a finite p >= 1.
     """
+    _check_dimension(dimension)
     if essential not in ("match", "drop"):
         raise ValueError("essential must be 'match' or 'drop'")
     if mode not in ("bottleneck", "wasserstein"):

@@ -12,7 +12,8 @@ from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
 from .graph import Graph, _pair_keys, adjacency_l1_distance
 from .images import PIConfig, _capped_points, persistence_image, resolve_config
 from .landmarks import LandmarkSet, build_cover, select_landmarks
-from .persistence import _EMPTY_POINTS, PersistenceDiagram, diagram_distance
+from .persistence import (_EMPTY_POINTS, PersistenceDiagram, _check_dimension,
+                          diagram_distance)
 
 RANDOM = "random"
 LANDMARK_TARGETED = "landmark-targeted"
@@ -147,6 +148,7 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         raise ValueError("budgets must be sorted ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_dimension(dimension)
     if not 1.0 <= wasserstein_p < np.inf:
         raise ValueError(f"wasserstein_p must be finite and >= 1, got {wasserstein_p!r}")
     cfg = resolve_config(cfg, g)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -314,6 +315,31 @@ def test_sandwich_command(cycle_path, capsys):
     assert capsys.readouterr().out.strip() == "not-applicable"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sandwich", "-i", "{g}", "--max-dim", "7", "--alpha", "0.1"],
+     "max_dim must be 0, 1 or 2"),
+    (["sandwich", "-i", "{g}", "--alpha", "nan"], "alpha must be a number, got nan"),
+    (["global-features", "-i", "{g}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
+    (["loss", "-i", "{d}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
+    (["distance", "-i", "{d}", "{d}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
+])
+def test_invalid_parameters_exit_1(cycle_path, tmp_path, capsys, argv, message):
+    djson = tmp_path / "d.json"
+    djson.write_text(json.dumps([{"dim": 0, "points": [[0.0, 2.0]], "essential": []}]))
+    assert run([a.format(g=cycle_path, d=djson) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wtopo: error: {message}\n"
+
+
+def test_binary_output_needs_an_output_path(cycle_path, capsys):
+    assert run(["local-features", "-i", cycle_path, "--fraction", "0.34",
+                "--format", "bin"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wtopo: error: binary output needs -o/--output\n"
+
+
 def test_usage_error_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["diagram", "--bogus-flag"])
@@ -339,3 +365,26 @@ def test_every_subcommand_has_documented_defaults():
     for name, sp in sub.choices.items():
         text = sp.format_help()
         assert "default" in text or "required" in text, name
+
+
+def _surface(parser):
+    # every parse-relevant attribute of each subcommand's flags, help text aside
+    sub = parser._subparsers._group_actions[0]
+    out = {}
+    for name, sp in sorted(sub.choices.items()):
+        actions = sorted(
+            [type(a).__name__, a.option_strings, a.dest,
+             getattr(a.type, "__name__", repr(a.type)), repr(a.default), repr(a.const),
+             a.choices, a.required, a.nargs, a.metavar]
+            for a in sp._actions)
+        groups = sorted([g.required, sorted(a.dest for a in g._group_actions)]
+                        for g in sp._mutually_exclusive_groups)
+        out[name] = [actions, groups]
+    return json.dumps(out, sort_keys=True)
+
+
+def test_cli_surface_is_pinned():
+    # a flag's strings, dest, type, default, choices, arity and exclusions are
+    # the CLI's contract; a digest change means a deliberate surface change
+    digest = hashlib.sha256(_surface(build_parser()).encode()).hexdigest()
+    assert digest == "89c9d0c7a1bc5661f4e790a9dfbd1fc44398be83e02e3053cd2e63b2eb68def2"

@@ -182,6 +182,17 @@ def test_sandwich_check_not_applicable():
     assert sandwich_check(land, wit, 2.0, 1.0, 1) is None
 
 
+@pytest.mark.parametrize("alpha, epsilon, max_dim, message", [
+    (0.1, 1.0, 7, "max_dim must be 0, 1 or 2"),          # not applicable once checked
+    (float("nan"), 1.0, 1, "alpha must be a number, got nan"),
+    (4.0, float("nan"), 1, "epsilon must be a number, got nan"),
+])
+def test_sandwich_check_validates_before_not_applicable(alpha, epsilon, max_dim, message):
+    land, wit = six_cycle_rows((0, 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sandwich_check(land, wit, alpha, epsilon, max_dim)
+
+
 def test_sandwich_check_all_nodes_landmarks():
     rng = np.random.default_rng(36)
     g = random_connected_graph(rng, 8, extra=4)

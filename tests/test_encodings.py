@@ -8,9 +8,9 @@ from conftest import (diagram_of, oracle_local_cell_diagrams, random_connected_g
                       random_diagram)
 from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    build_cover, compute_persistence, connected_components, default_config,
-                   diameter, geodesics, global_diagram,
+                   diagram_distance, diameter, geodesics, global_diagram,
                    global_encoding, local_cell_diagrams, local_encoding,
-                   persistence_image, select_landmarks, topo_loss,
+                   persistence_image, select_landmarks, stability_sweep, topo_loss,
                    topo_loss_grad, vr_filtration, witness_filtration)
 from wtopo.encodings import NodeFeatureMatrix
 from wtopo.persistence import REDUCTION, UNION_FIND
@@ -255,7 +255,7 @@ def test_global_encoding_is_the_image_of_the_cover_diagram():
             want = persistence_image(global_diagram(cover, max_dim=max_dim,
                                                     dimension=dimension), cfg, dimension)
             got = global_encoding(g, fraction, cfg, max_dim=max_dim, dimension=dimension)
-            assert np.array_equal(got.pixels, want.pixels) and got.config == want.config
+            assert got == want
 
 
 @pytest.mark.parametrize("max_scale", [-1.0, float("nan")])
@@ -274,6 +274,24 @@ def test_every_builder_rejects_a_max_scale_below_zero_or_nan(max_scale):
             build(max_scale)
         build(0.0)
         build(np.inf)
+
+
+@pytest.mark.parametrize("entry", ["persistence_image", "topo_loss", "topo_loss_grad",
+                                   "diagram_distance", "local_encoding", "global_encoding",
+                                   "stability_sweep"])
+def test_a_negative_dimension_is_an_error(entry):
+    g, d = six_cycle(), diagram_of([[0.0, 2.0]])
+    cfg, loss = cfg_for(g), TopoLossConfig()
+    call = {"persistence_image": lambda: persistence_image(d, cfg, -1),
+            "topo_loss": lambda: topo_loss(d, loss, -1),
+            "topo_loss_grad": lambda: topo_loss_grad(d, loss, -1),
+            "diagram_distance": lambda: diagram_distance(d, d, dimension=-1),
+            "local_encoding": lambda: local_encoding(g, 0.5, cfg, dimension=-1),
+            "global_encoding": lambda: global_encoding(g, 0.5, cfg, dimension=-1),
+            "stability_sweep": lambda: stability_sweep(g, [0], 1, 0.5, cfg, loss,
+                                                       dimension=-1)}[entry]
+    with pytest.raises(ValueError, match="^dimension must be >= 0, got -1$"):
+        call()
 
 
 def test_global_deterministic():

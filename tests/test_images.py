@@ -210,6 +210,15 @@ def test_flatten_row_major():
             assert flat[i * 3 + j] == img.pixels[i, j]
 
 
+def test_image_equality_compares_config_and_pixels():
+    d = diagram_of([[0.1, 0.9], [0.2, 0.5]])
+    img = persistence_image(d, unit_cfg(r=3))
+    assert img == persistence_image(d, unit_cfg(r=3))
+    assert img != persistence_image(diagram_of([[0.1, 0.9]]), unit_cfg(r=3))
+    assert img != persistence_image(d, unit_cfg(r=3, sigma=2.0))
+    assert img != persistence_image(d, unit_cfg(r=3, policy="cap", cap=2.0))
+
+
 def test_resolved_cap_matches_default_config_below_unit_diameter():
     from wtopo import Graph
     from wtopo.images import default_config, resolve_config
