@@ -187,6 +187,20 @@ def _witness_edge_scales(witness_dists: np.ndarray, m_nu: np.ndarray) -> np.ndar
     return np.minimum(upper, upper.T)
 
 
+def _unit_witness_edge_scales(land_dists: np.ndarray) -> np.ndarray:
+    # _witness_edge_scales in closed form for nu = 0 on a unit-weight graph H
+    # whose witnesses hold every node of H in the landmarks' components: the
+    # edge (i, j) at distance d enters at min_w max(d(w, i), d(w, j)) =
+    # ceil(d / 2), and never (inf) across components. The min is at least
+    # ceil(d / 2): max(a, b) >= (a + b) / 2 >= d / 2 by the triangle
+    # inequality, and distances are integers. It is at most ceil(d / 2): the
+    # node at position floor(d / 2) on a shortest i-j path is a witness,
+    # floor(d / 2) from i and ceil(d / 2) from j.
+    scales = np.ceil(land_dists / 2.0)
+    np.fill_diagonal(scales, np.inf)
+    return scales
+
+
 def _levels(a: np.ndarray, cap: float) -> np.ndarray | None:
     # ascending finite values of A, or None when there are more than cap; one
     # column's values already exceed cap on weighted rows, so those skip

@@ -15,8 +15,9 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import _check_parameters, _witness_complex
-from .graph import Graph, geodesics
+from .complexes import (_assemble, _check_parameters, _unit_witness_edge_scales,
+                        _witness_complex)
+from .graph import Graph, _induced, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram, _check_dimension,
@@ -79,15 +80,36 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _block_diagram(rows: np.ndarray, marks: slice, witnesses: slice | tuple[int, ...],
-                   max_dim: int, max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
-    """Lazy-witness diagram of one block of geodesic rows: the landmarks
-    ``rows[marks]``, witnessed by the columns ``witnesses``. A block with one
-    landmark is one vertex, whose diagram is one essential 0; its rows are
-    never read. Dimension 0 keeps only H0, so the reduction stops there."""
-    if marks.stop - marks.start == 1:
-        return PersistenceDiagram({}, {0: np.zeros(1)})
-    f = _witness_complex(rows[marks, witnesses].T, max_dim, max_scale, nu)
+def _check_block(max_dim: int, max_scale: float, nu: int, num_landmarks: int,
+                 dimension: int) -> None:
+    # the complex parameters, then the homology dimension asked of the complex
+    _check_parameters(max_dim, max_scale, nu, num_landmarks)
+    _check_dimension(dimension)
+    if dimension > max_dim:
+        raise ValueError(f"dimension must be <= max_dim, got dimension {dimension} "
+                         f"and max_dim {max_dim}")
+
+
+def _vertex_diagram() -> PersistenceDiagram:
+    # a block with one landmark is one vertex, whose diagram is one essential 0
+    return PersistenceDiagram({}, {0: np.zeros(1)})
+
+
+def _block_diagram(rows: np.ndarray, landmarks: np.ndarray,
+                   witnesses: slice | np.ndarray, unit_weights: bool, max_dim: int,
+                   max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
+    """Lazy-witness diagram of one block of two or more landmarks: ``rows``
+    are the geodesic rows from them over a graph in which the columns
+    ``landmarks`` are those landmarks and ``witnesses`` the block's
+    witnesses, every node of the landmarks' components among them. On a
+    unit-weight graph at nu = 0 the edge scales come in closed form from the
+    landmark columns alone, and the witness columns are never read.
+    Dimension 0 keeps only H0, so the reduction stops there."""
+    if unit_weights and nu == 0 and max_dim >= 1:
+        f = _assemble(len(rows), _unit_witness_edge_scales(rows[:, landmarks]),
+                      max_dim, max_scale)
+    else:
+        f = _witness_complex(rows[:, witnesses].T, max_dim, max_scale, nu)
     return compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION)
 
 
@@ -95,19 +117,27 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
     """Lazy-witness diagram of the induced subgraph of every cover cell.
 
-    In the cover's cut graph each cell's induced subgraph is one block, so
-    one geodesics pass over it, from every cell's local landmarks, gives each
-    cell's rows; shortest-path distances do not depend on node labels, so
-    they equal the rows of the cell's subgraph bit for bit. Each cell is
-    witnessed by its members.
+    Only the cells with two or more local landmarks need rows. In the cover's
+    cut graph each cell's induced subgraph is one block, so one geodesics
+    pass over the cut graph induced on those cells, from their local
+    landmarks, gives each cell's rows; shortest-path distances do not depend
+    on node labels, so they equal the rows of the cell's subgraph bit for
+    bit. Each cell is witnessed by its members.
     """
-    keys, marks = zip(*cover.local_landmarks.items())
-    sizes = [len(m) for m in marks]
-    _check_parameters(max_dim, max_scale, nu, min(sizes))
-    rows = geodesics(cover.cut, np.concatenate(marks)).dists
-    return {l: _block_diagram(rows, slice(e - k, e), cover.cells[l], max_dim, max_scale,
-                              nu, dimension)
-            for l, k, e in zip(keys, sizes, np.cumsum(sizes).tolist())}
+    local = cover.local_landmarks
+    _check_block(max_dim, max_scale, nu, min(len(m) for m in local.values()), dimension)
+    several = [l for l, m in local.items() if len(m) > 1]
+    diagrams = {l: _vertex_diagram() for l in local}
+    if several:
+        keep = np.sort(np.concatenate([cover.cells[l] for l in several]))
+        sub, new = _induced(cover.cut, keep)
+        marks = [new[list(local[l])] for l in several]
+        rows = geodesics(sub, np.concatenate(marks)).dists
+        ends = np.cumsum([m.size for m in marks]).tolist()
+        for l, m, e in zip(several, marks, ends):
+            diagrams[l] = _block_diagram(rows[e - m.size:e], m, new[list(cover.cells[l])],
+                                         sub.unit_weights, max_dim, max_scale, nu, dimension)
+    return diagrams
 
 
 def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
@@ -148,10 +178,12 @@ def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int =
                    max_scale: float = np.inf) -> PersistenceDiagram:
     """Witness diagram of the whole graph over the cover's landmark rows,
     witnessed by every node."""
-    rows = cover.rows.dists
-    _check_parameters(max_dim, max_scale, nu, len(rows))
-    return _block_diagram(rows, slice(0, len(rows)), slice(None), max_dim, max_scale, nu,
-                          dimension)
+    rows = cover.rows
+    _check_block(max_dim, max_scale, nu, len(rows.sources), dimension)
+    if len(rows.sources) == 1:
+        return _vertex_diagram()
+    return _block_diagram(rows.dists, list(rows.sources), slice(None), cover.unit_weights,
+                          max_dim, max_scale, nu, dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

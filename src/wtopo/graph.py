@@ -396,13 +396,19 @@ def largest_connected_component(g: Graph) -> tuple[Graph, np.ndarray]:
     keep = np.flatnonzero(labels == best)
     if keep.size == g.num_nodes:
         return g, keep
+    return _induced(g, keep)
+
+
+def _induced(g: Graph, keep: np.ndarray) -> tuple[Graph, np.ndarray]:
+    """Subgraph induced on the ascending node ids ``keep``, relabelled
+    0..len(keep)-1 in the same order, so its edges stay sorted with u < v.
+    Returns (subgraph, old_to_new) with old_to_new[i] = -1 for a dropped i."""
     old_to_new = np.full(g.num_nodes, -1, dtype=np.int64)
     old_to_new[keep] = np.arange(keep.size)
-    inner = labels[g.edge_array[:, 0]] == best        # both ends share a component
-    # increasing on the component, so relabeled edges stay sorted with u < v
+    ends = old_to_new[g.edge_array]
+    inner = (ends >= 0).all(axis=1)
     feats = g.node_features[keep] if g.node_features is not None else None
-    sub = Graph(int(keep.size), old_to_new[g.edge_array[inner]], g.weights[inner], feats)
-    return sub, old_to_new
+    return Graph(int(keep.size), ends[inner], g.weights[inner], feats), old_to_new
 
 
 def _pair_keys(pairs: np.ndarray, n: int) -> np.ndarray:

@@ -33,7 +33,8 @@ class Cover:
     ``local_landmarks`` re-runs the degree selection inside each induced cell
     subgraph. ``cell_of[v]`` is the key of node v's cell; ``rows`` holds the
     landmark geodesic rows, for the witness filtration; ``cut`` is the graph
-    without its cross-cell edges. None of the three is serialized.
+    without its cross-cell edges; ``unit_weights`` says whether every edge of
+    the graph has weight 1. None of the four is serialized.
     """
 
     cells: dict[int, tuple[int, ...]]
@@ -45,6 +46,7 @@ class Cover:
     cell_of: np.ndarray = field(compare=False, repr=False)   # (N,) int64
     rows: DistanceMatrix = field(compare=False, repr=False)  # (L, N)
     cut: Graph = field(compare=False, repr=False)            # same-cell edges only
+    unit_weights: bool = field(compare=False, repr=False)
 
     def to_json(self) -> str:
         obj = {
@@ -127,4 +129,5 @@ def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
         cell_of=cell_of,
         rows=rows,
         cut=cut,
+        unit_weights=g.unit_weights,
     )

@@ -322,6 +322,9 @@ def test_sandwich_command(cycle_path, capsys):
     (["global-features", "-i", "{g}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
     (["loss", "-i", "{d}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
     (["distance", "-i", "{d}", "{d}", "--dimension", "-1"], "dimension must be >= 0, got -1"),
+    *[([command, "-i", "{g}", "--max-dim", "1", "--dimension", "3"],
+       "dimension must be <= max_dim, got dimension 3 and max_dim 1")
+      for command in ("global-features", "local-features")],
 ])
 def test_invalid_parameters_exit_1(cycle_path, tmp_path, capsys, argv, message):
     djson = tmp_path / "d.json"
@@ -330,6 +333,15 @@ def test_invalid_parameters_exit_1(cycle_path, tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"wtopo: error: {message}\n"
+
+
+def test_sweep_dimension_above_max_dim_exit_1(cycle_path, capsys):
+    assert run(["sweep", "-i", cycle_path, "--budgets", "0", "--max-dim", "1",
+                "--dimension", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("effective seed: 0\nwtopo: error: dimension must be <= max_dim, "
+                            "got dimension 3 and max_dim 1\n")
 
 
 def test_binary_output_needs_an_output_path(cycle_path, capsys):

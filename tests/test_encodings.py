@@ -4,14 +4,18 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import (diagram_of, oracle_local_cell_diagrams, random_connected_graph,
-                      random_diagram)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (diagram_of, oracle_assemble, oracle_local_cell_diagrams,
+                      oracle_witness_edge_scales, random_connected_graph, random_diagram)
 from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    build_cover, compute_persistence, connected_components, default_config,
                    diagram_distance, diameter, geodesics, global_diagram,
                    global_encoding, local_cell_diagrams, local_encoding,
                    persistence_image, select_landmarks, stability_sweep, topo_loss,
                    topo_loss_grad, vr_filtration, witness_filtration)
+from wtopo.complexes import Filtration, _unit_witness_edge_scales, _witness_edge_scales
 from wtopo.encodings import NodeFeatureMatrix
 from wtopo.persistence import REDUCTION, UNION_FIND
 
@@ -173,10 +177,26 @@ def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
         reduced.append(f)
         return compute_persistence(f, *args, **kw)
 
+    def recording(graph, sources):
+        sourced.append((graph, np.asarray(sources)))
+        return geodesics(graph, sources)
+
+    # the rows come from the cut graph induced on the cells with two or more
+    # local landmarks, relabelled in increasing order, from those landmarks
+    keep = np.sort(np.concatenate([cover.cells[l] for l in several]))
+    marks = np.concatenate([cover.local_landmarks[l] for l in several])
+    kept = np.isin(cover.cut.edge_array[:, 0], keep)
+    sourced = []
     monkeypatch.setattr("wtopo.encodings.compute_persistence", counting)
+    monkeypatch.setattr("wtopo.encodings.geodesics", recording)
     for max_dim, dimension in ((2, 1), (1, 0)):
         reduced.clear()
+        sourced.clear()
         got = local_cell_diagrams(cover, max_dim=max_dim, dimension=dimension)
+        [(sub, sources)] = sourced
+        assert np.array_equal(keep[sources], marks)
+        assert sub.num_nodes == keep.size
+        assert np.array_equal(keep[sub.edge_array], cover.cut.edge_array[kept])
         assert len(reduced) == len(several)
         assert ([f.scales[0].size for f in reduced]
                 == [len(cover.local_landmarks[l]) for l in several])
@@ -184,6 +204,85 @@ def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
         assert got == want
         assert all(got[l] == want[l] == diagram_of([], [0.0]) for l in cover.cells
                    if l not in several)
+
+
+@st.composite
+def unit_cover_case(draw):
+    # unit graphs, connected (a spanning path) or not, with landmarks by
+    # degree and by hand, so that some cells hold several local landmarks
+    n = draw(st.integers(2, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    order = draw(st.permutations(range(n)))
+    path = zip(order, order[1:]) if draw(st.booleans()) else ()
+    edges = {(min(p), max(p)) for p in [*pairs, *path] if p[0] != p[1]}
+    g = Graph.from_edges(n, sorted(edges))
+    fraction = draw(st.sampled_from([0.2, 0.4, 0.7, 1.0]))
+    marks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+    covers = (build_cover(g, select_landmarks(g, fraction)),
+              build_cover(g, LandmarkSet(tuple(marks), fraction)))
+    max_dim = draw(st.sampled_from([1, 2]))
+    dimension = draw(st.integers(0, max_dim))
+    max_scale = draw(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]))
+    return g, covers, max_dim, dimension, max_scale
+
+
+def _oracle_block_diagram(rows, max_dim, dimension, max_scale):
+    # the closed form pinned to the brute-force (min, max) product over every
+    # witness, then the diagram of the brute-force assembly of those scales
+    scales = oracle_witness_edge_scales(rows.dists.T, nu=0)
+    assert np.array_equal(_unit_witness_edge_scales(rows.between_sources), scales)
+    f = Filtration.from_simplices(
+        oracle_assemble(scales.shape[0], scales, max_dim, max_scale), max_dim)
+    return compute_persistence(f, REDUCTION,
+                               homology_dims=(0,) if dimension == 0 else None)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(unit_cover_case())
+def test_unit_witness_blocks_match_the_oracle(case):
+    g, covers, max_dim, dimension, max_scale = case
+    kw = dict(max_dim=max_dim, dimension=dimension, max_scale=max_scale)
+    for cover in covers:
+        if len(cover.rows.sources) > 1:      # the global block: every node a witness
+            assert global_diagram(cover, **kw) == _oracle_block_diagram(
+                cover.rows, max_dim, dimension, max_scale)
+        cells = local_cell_diagrams(cover, **kw)
+        for l, members in cover.cells.items():
+            if len(cover.local_landmarks[l]) > 1:   # a cell block: its members witness
+                index = {v: i for i, v in enumerate(members)}
+                sub = Graph.from_edges(len(members), [
+                    (index[u], index[v]) for u, v in g.edge_array.tolist()
+                    if u in index and v in index])
+                rows = geodesics(sub, [index[v] for v in cover.local_landmarks[l]])
+                assert cells[l] == _oracle_block_diagram(rows, max_dim, dimension,
+                                                         max_scale)
+
+
+def test_weighted_covers_and_positive_nu_reach_the_witness_kernel(monkeypatch):
+    calls = []
+
+    def counting(witness_dists, m_nu):
+        calls.append(witness_dists.shape)
+        return _witness_edge_scales(witness_dists, m_nu)
+
+    monkeypatch.setattr("wtopo.complexes._witness_edge_scales", counting)
+    rng = np.random.default_rng(73)
+    for weighted, nu, kernel in ((True, 0, True), (False, 1, True), (True, 1, True),
+                                 (False, 0, False)):
+        g = random_connected_graph(rng, 60, extra=30, weighted=weighted)
+        cover = build_cover(g, LandmarkSet((0, 1, 2), 0.3))
+        several = [l for l, m in cover.local_landmarks.items() if len(m) > 1]
+        assert several
+        for max_dim in (1, 2):
+            calls.clear()
+            global_diagram(cover, max_dim=max_dim, nu=nu)
+            local_cell_diagrams(cover, max_dim=max_dim, nu=nu)
+            # the witness rows: every node for the global block, the members
+            # of each cell with two or more local landmarks
+            want = [(g.num_nodes, 3)] + [(len(cover.cells[l]), len(cover.local_landmarks[l]))
+                                         for l in several]
+            assert calls == (want if kernel else [])
 
 
 @pytest.mark.parametrize("max_dim, dimension", [(0, 0), (1, 0), (2, 1)])
@@ -206,9 +305,18 @@ def _diagram_or_error(build):
         return type(exc), str(exc)
 
 
+def _staged_diagram(rows, max_dim, dimension, nu, max_scale):
+    f = witness_filtration(rows.between_sources, rows.dists.T, max_dim, max_scale, nu=nu)
+    if dimension > max_dim:
+        raise ValueError(f"dimension must be <= max_dim, got dimension {dimension} "
+                         f"and max_dim {max_dim}")
+    return compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION)
+
+
 def test_global_diagram_matches_the_staged_witness_path():
-    # the oracle: one witness filtration over the cover's landmark rows, then
-    # union-find in dimension 0 and the reduction above it; errors included
+    # the oracle: one witness filtration over the cover's landmark rows, a
+    # dimension above max_dim rejected, then union-find in dimension 0 and
+    # the reduction above it; errors included
     rng = np.random.default_rng(71)
     cases = 0
     for trial in range(9):
@@ -230,10 +338,8 @@ def test_global_diagram_matches_the_staged_witness_path():
                             got = _diagram_or_error(lambda: global_diagram(
                                 cover, max_dim=max_dim, dimension=dimension,
                                 nu=nu, max_scale=max_scale))
-                            want = _diagram_or_error(lambda: compute_persistence(
-                                witness_filtration(rows.between_sources, rows.dists.T,
-                                                   max_dim, max_scale, nu=nu),
-                                UNION_FIND if dimension == 0 else REDUCTION))
+                            want = _diagram_or_error(lambda: _staged_diagram(
+                                rows, max_dim, dimension, nu, max_scale))
                             assert got == want
                             cases += isinstance(want, tuple)
     assert cases > 0
@@ -291,6 +397,25 @@ def test_a_negative_dimension_is_an_error(entry):
             "stability_sweep": lambda: stability_sweep(g, [0], 1, 0.5, cfg, loss,
                                                        dimension=-1)}[entry]
     with pytest.raises(ValueError, match="^dimension must be >= 0, got -1$"):
+        call()
+
+
+@pytest.mark.parametrize("entry", ["global_diagram", "local_cell_diagrams", "local_encoding",
+                                   "global_encoding", "stability_sweep"])
+@pytest.mark.parametrize("max_dim, dimension", [(0, 1), (1, 2), (1, 3), (2, 3)])
+def test_a_dimension_above_max_dim_is_an_error(entry, max_dim, dimension):
+    g = six_cycle()
+    cover = build_cover(g, select_landmarks(g, 0.5))
+    cfg, loss = cfg_for(g), TopoLossConfig()
+    kw = dict(max_dim=max_dim, dimension=dimension)
+    call = {"global_diagram": lambda: global_diagram(cover, **kw),
+            "local_cell_diagrams": lambda: local_cell_diagrams(cover, **kw),
+            "local_encoding": lambda: local_encoding(g, 0.5, cfg, **kw),
+            "global_encoding": lambda: global_encoding(g, 0.5, cfg, **kw),
+            "stability_sweep": lambda: stability_sweep(g, [0], 1, 0.5, cfg, loss,
+                                                       **kw)}[entry]
+    with pytest.raises(ValueError, match=f"^dimension must be <= max_dim, got dimension "
+                                         f"{dimension} and max_dim {max_dim}$"):
         call()
 
 
