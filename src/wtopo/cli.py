@@ -18,8 +18,8 @@ import tempfile
 from dataclasses import replace
 
 from . import __version__
-from .complexes import sandwich_check, vr_filtration, witness_filtration
-from .encodings import (TopoLossConfig, global_encoding, local_encoding,
+from .complexes import sandwich_check, vr_filtration
+from .encodings import (TopoLossConfig, global_diagram, global_encoding, local_encoding,
                         topo_loss)
 from .graph import Graph, load_edge_list
 from .images import CAP, DROP, PIConfig, default_config, persistence_image
@@ -122,13 +122,13 @@ def _cmd_cover(args) -> str:
 
 
 def _cmd_diagram(args) -> str:
-    rows = _cover(args).rows
-    if args.complex == "witness":
-        filt = witness_filtration(rows.between_sources, rows.dists.T,
-                                  args.max_dim, args.max_scale, nu=args.nu)
-    else:
-        filt = vr_filtration(rows.between_sources, args.max_dim, args.max_scale)
-    return _json(compute_persistence(filt, args.algorithm).to_json_obj())
+    cover = _cover(args)
+    if args.complex == "vr":
+        filt = vr_filtration(cover.rows.between_sources, args.max_dim, args.max_scale)
+        return _json(compute_persistence(filt, args.algorithm).to_json_obj())
+    # union-find is the reduction stopped after dimension 0
+    top = 0 if args.algorithm == UNION_FIND else args.max_dim
+    return _json(global_diagram(cover, args.max_dim, top, args.nu, args.max_scale).to_json_obj())
 
 
 def _cmd_image(args) -> str:

@@ -18,15 +18,26 @@ def _sort_dim(verts: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.nda
     return verts[order], scales[order]
 
 
+def _check_dimension(dimension: int) -> None:
+    # the one rule on the homology dimension a caller asks for
+    if not dimension >= 0:
+        raise ValueError(f"dimension must be >= 0, got {dimension}")
+
+
 def _check_parameters(max_dim: int, max_scale: float = 0.0, nu: int = 0,
-                      num_landmarks: int = 0) -> None:
-    # the one check of the complex parameters (NaN fails max_scale >= 0)
+                      num_landmarks: int = 0, dimension: int = 0) -> None:
+    # the one check of the complex parameters (NaN fails max_scale >= 0) and
+    # of the homology dimension asked of the complex
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
     if not max_scale >= 0.0:
         raise ValueError(f"max_scale must be a number >= 0, got {max_scale}")
     if not 0 <= nu <= num_landmarks:
         raise ValueError("nu must be in [0, num_landmarks]")
+    _check_dimension(dimension)
+    if dimension > max_dim:
+        raise ValueError(f"dimension must be <= max_dim, got dimension {dimension} "
+                         f"and max_dim {max_dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,21 +313,20 @@ def sandwich_check(land_dists: np.ndarray, witness_dists: np.ndarray,
     """Check VR at alpha/3 is inside the witness complex at alpha which is
     inside VR at 3*alpha (as simplex sets). Returns None (not applicable)
     when the hypothesis alpha > 2*epsilon fails; ``max_dim`` and a NaN
-    ``alpha`` or ``epsilon`` are checked first."""
+    ``alpha`` or ``epsilon`` are checked first. All three are flag complexes
+    on the same vertices: they nest exactly when their edge sets do."""
     _check_parameters(max_dim)
     for name, x in (("alpha", alpha), ("epsilon", epsilon)):
         if np.isnan(x):
             raise ValueError(f"{name} must be a number, got {x}")
     if not alpha > 2.0 * epsilon:
         return None
-    inner = vr_filtration(land_dists, max_dim, alpha / 3.0)
-    wit = witness_filtration(land_dists, witness_dists, max_dim, alpha, nu=0)
-    outer = vr_filtration(land_dists, max_dim, 3.0 * alpha)
-    n = inner.scales[0].size                # all three have the vertices 0..n-1
-
-    def keys(f: Filtration, d: int) -> np.ndarray:
-        return f.vertices[d] @ n ** np.arange(d, -1, -1)   # one int per simplex
-
-    return all(np.isin(keys(inner, d), keys(wit, d)).all()
-               and np.isin(keys(wit, d), keys(outer, d)).all()
-               for d in range(max_dim + 1))
+    d = _validate_square(land_dists, "distance matrix")
+    wit = witness_filtration(d, witness_dists, min(max_dim, 1), alpha)
+    if max_dim == 0:
+        return True
+    pairs = np.triu(np.isfinite(d), 1)      # VR never joins UNREACHABLE pairs
+    inner, outer = (pairs & (d <= scale) for scale in (alpha / 3.0, 3.0 * alpha))
+    middle = np.zeros_like(pairs)
+    middle[tuple(wit.vertices[1].T)] = True
+    return bool((inner <= middle).all() and (middle <= outer).all())

@@ -15,13 +15,12 @@ from typing import IO
 
 import numpy as np
 
-from .complexes import (_assemble, _check_parameters, _unit_witness_edge_scales,
-                        _witness_complex)
-from .graph import Graph, _induced, geodesics
+from .complexes import (_assemble, _check_dimension, _check_parameters,
+                        _unit_witness_edge_scales, _witness_complex)
+from .graph import Graph, _induced, _write_csv, geodesics
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
-from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram, _check_dimension,
-                          compute_persistence)
+from .persistence import REDUCTION, UNION_FIND, PersistenceDiagram, compute_persistence
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,7 @@ class NodeFeatureMatrix:
         return int(self.values.shape[0])
 
     def to_csv(self, fp: IO[str]) -> None:
-        for row in self.values:
-            fp.write(",".join(repr(float(x)) for x in row))
-            fp.write("\n")
+        _write_csv(fp, self.values)
 
     def to_binary(self, fp: IO[bytes]) -> None:
         """Little-endian block: int64 N, int64 cols, then row-major float64."""
@@ -80,16 +77,6 @@ class TopoLossConfig:
         return max(self.p, self.q)
 
 
-def _check_block(max_dim: int, max_scale: float, nu: int, num_landmarks: int,
-                 dimension: int) -> None:
-    # the complex parameters, then the homology dimension asked of the complex
-    _check_parameters(max_dim, max_scale, nu, num_landmarks)
-    _check_dimension(dimension)
-    if dimension > max_dim:
-        raise ValueError(f"dimension must be <= max_dim, got dimension {dimension} "
-                         f"and max_dim {max_dim}")
-
-
 def _vertex_diagram() -> PersistenceDiagram:
     # a block with one landmark is one vertex, whose diagram is one essential 0
     return PersistenceDiagram({}, {0: np.zeros(1)})
@@ -125,7 +112,7 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     bit. Each cell is witnessed by its members.
     """
     local = cover.local_landmarks
-    _check_block(max_dim, max_scale, nu, min(len(m) for m in local.values()), dimension)
+    _check_parameters(max_dim, max_scale, nu, min(len(m) for m in local.values()), dimension)
     several = [l for l, m in local.items() if len(m) > 1]
     diagrams = {l: _vertex_diagram() for l in local}
     if several:
@@ -145,11 +132,12 @@ def local_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
                    max_scale: float = np.inf) -> NodeFeatureMatrix:
     """Per-node rows: the cell's witness persistence image, broadcast to every
     node of the cell (nodes sharing a cell get identical rows)."""
-    _check_dimension(dimension)
-    cfg = resolve_config(cfg, g)
-    cover = build_cover(g, select_landmarks(g, fraction))
+    ls = select_landmarks(g, fraction)
+    _check_parameters(max_dim, max_scale, nu, len(ls), dimension)   # no cell has more
+    cover = build_cover(g, ls)
     diagrams = local_cell_diagrams(cover, max_dim=max_dim, nu=nu,
                                    dimension=dimension, max_scale=max_scale)
+    cfg = resolve_config(cfg, g)
     index: dict[tuple[bytes, bytes], int] = {}      # distinct diagram -> image row
     images = []
     position = np.empty(g.num_nodes, dtype=np.intp)    # cell key -> image row
@@ -167,11 +155,11 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
                     max_scale: float = np.inf) -> PersistenceImage:
     """Witness persistence image of the whole graph: landmarks by degree, every
     node a witness, geodesic rows computed per landmark."""
-    _check_dimension(dimension)
-    cfg = resolve_config(cfg, g)
-    diagram = global_diagram(build_cover(g, select_landmarks(g, fraction)), max_dim=max_dim,
+    ls = select_landmarks(g, fraction)
+    _check_parameters(max_dim, max_scale, nu, len(ls), dimension)
+    diagram = global_diagram(build_cover(g, ls), max_dim=max_dim,
                              dimension=dimension, nu=nu, max_scale=max_scale)
-    return persistence_image(diagram, cfg, dimension)
+    return persistence_image(diagram, resolve_config(cfg, g), dimension)
 
 
 def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int = 0,
@@ -179,7 +167,7 @@ def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int =
     """Witness diagram of the whole graph over the cover's landmark rows,
     witnessed by every node."""
     rows = cover.rows
-    _check_block(max_dim, max_scale, nu, len(rows.sources), dimension)
+    _check_parameters(max_dim, max_scale, nu, len(rows.sources), dimension)
     if len(rows.sources) == 1:
         return _vertex_diagram()
     return _block_diagram(rows.dists, list(rows.sources), slice(None), cover.unit_weights,

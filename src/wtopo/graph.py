@@ -179,10 +179,14 @@ class DistanceMatrix:
         return float(finite.max()) if finite.size else 0.0
 
     def to_csv(self, fp: IO[str]) -> None:
-        for row in self.dists:
-            fp.write(",".join("inf" if not np.isfinite(x) else repr(float(x))
-                              for x in row))
-            fp.write("\n")
+        _write_csv(fp, self.dists)
+
+
+def _write_csv(fp: IO[str], rows: np.ndarray) -> None:
+    # the one matrix CSV format: a line per row, each value's float repr ("inf")
+    for row in rows:
+        fp.write(",".join(repr(float(x)) for x in row))
+        fp.write("\n")
 
 
 def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:

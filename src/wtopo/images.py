@@ -8,8 +8,9 @@ from typing import IO
 
 import numpy as np
 
-from .graph import Graph, ValidationError, diameter, largest_connected_component
-from .persistence import PersistenceDiagram, _check_dimension
+from .complexes import _check_dimension
+from .graph import Graph, ValidationError, _write_csv, diameter, largest_connected_component
+from .persistence import PersistenceDiagram
 
 DROP = "drop"
 CAP = "cap"
@@ -67,9 +68,7 @@ class PersistenceImage:
         return self.pixels.reshape(-1)      # row-major: index = i * R + j
 
     def to_csv(self, fp: IO[str]) -> None:
-        for row in self.pixels:
-            fp.write(",".join(repr(float(x)) for x in row))
-            fp.write("\n")
+        _write_csv(fp, self.pixels)
 
 
 def stability_constant(sigma: float) -> float:

@@ -8,19 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .complexes import Filtration
+from .complexes import Filtration, _check_dimension
 
 UNION_FIND = "union-find"
 REDUCTION = "reduction"
 
 _EMPTY_POINTS = np.empty((0, 2), dtype=np.float64)
 _EMPTY_BIRTHS = np.empty(0, dtype=np.float64)
-
-
-def _check_dimension(dimension: int) -> None:
-    # the one rule on the homology dimension a caller asks for
-    if not dimension >= 0:
-        raise ValueError(f"dimension must be >= 0, got {dimension}")
 
 
 def _is_number(x) -> bool:

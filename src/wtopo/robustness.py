@@ -7,13 +7,13 @@ from typing import IO, Sequence
 
 import numpy as np
 
+from .complexes import _check_parameters
 from .encodings import (TopoLossConfig, global_diagram, local_cell_diagrams,
                         topo_loss)
 from .graph import Graph, _pair_keys, adjacency_l1_distance
 from .images import PIConfig, _capped_points, persistence_image, resolve_config
 from .landmarks import LandmarkSet, build_cover, select_landmarks
-from .persistence import (_EMPTY_POINTS, PersistenceDiagram, _check_dimension,
-                          diagram_distance)
+from .persistence import _EMPTY_POINTS, PersistenceDiagram, diagram_distance
 
 RANDOM = "random"
 LANDMARK_TARGETED = "landmark-targeted"
@@ -148,9 +148,10 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         raise ValueError("budgets must be sorted ascending")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_dimension(dimension)
     if not 1.0 <= wasserstein_p < np.inf:
         raise ValueError(f"wasserstein_p must be finite and >= 1, got {wasserstein_p!r}")
+    ls = select_landmarks(g, fraction)
+    _check_parameters(max_dim, max_scale, nu, len(ls), dimension)   # no cell has more
     cfg = resolve_config(cfg, g)
 
     def encode(graph: Graph, ls: LandmarkSet) -> tuple:
@@ -162,7 +163,6 @@ def stability_sweep(g: Graph, budgets: Sequence[int], trials: int,
         glob = global_diagram(cover, **kw)
         return cover, cells, glob, persistence_image(glob, cfg, dimension)
 
-    ls = select_landmarks(g, fraction)
     clean = encode(g, ls)
     _, local_clean, glob_diag_clean, glob_pi_clean = clean
     loss_clean = topo_loss(glob_diag_clean, loss_cfg, dimension)

@@ -3,8 +3,11 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
 
+from conftest import random_connected_graph
+from wtopo import build_cover, compute_persistence, select_landmarks, witness_filtration
 from wtopo.cli import _image_config, _load_graph, build_parser, main
 
 SIX_CYCLE = "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
@@ -44,6 +47,39 @@ def test_diagram_max_dim_zero(cycle_path, tmp_path):
                 "--fraction", "0.34", "--max-dim", "0", "-o", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert obj == [{"dim": 0, "points": [], "essential": [0.0, 0.0]}]
+
+
+def _edge_lines(g, shift=0):
+    return "".join(f"{u + shift} {v + shift} {w!r}\n"
+                   for (u, v), w in zip(g.edge_array.tolist(), g.weights.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["unit", "weighted", "disconnected"])
+@pytest.mark.parametrize("algorithm", ["reduction", "union-find"])
+def test_witness_diagram_matches_the_witness_filtration(tmp_path, capsys, kind, algorithm):
+    # the oracle: the persistence of the public witness filtration over the
+    # cover's landmark rows, every node a witness
+    rng = np.random.default_rng(92)
+    path = tmp_path / "g.edges"
+    path.write_text({
+        "unit": lambda: _edge_lines(random_connected_graph(rng, 16, extra=8)),
+        "weighted": lambda: _edge_lines(random_connected_graph(rng, 16, extra=8,
+                                                               weighted=True)),
+        # node 0 alone, then two unit components
+        "disconnected": lambda: _edge_lines(random_connected_graph(rng, 10, extra=4), 1)
+        + _edge_lines(random_connected_graph(rng, 6, extra=2), 11)}[kind]())
+    g = _load_graph(str(path))
+    for fraction in (0.3, 0.05):                     # 0.05 selects one landmark
+        rows = build_cover(g, select_landmarks(g, fraction)).rows
+        for max_dim in range(3):
+            for nu in range(2):
+                assert run(["diagram", "-i", str(path), "--fraction", str(fraction),
+                            "--max-dim", str(max_dim), "--nu", str(nu),
+                            "--algorithm", algorithm]) == 0
+                f = witness_filtration(rows.between_sources, rows.dists.T, max_dim,
+                                       float("inf"), nu=nu)
+                want = compute_persistence(f, algorithm).to_json_obj()
+                assert capsys.readouterr().out == json.dumps(want, separators=(",", ":")) + "\n"
 
 
 def test_diagram_then_loss(cycle_path, tmp_path, capsys):

@@ -200,6 +200,24 @@ def test_sandwich_check_all_nodes_landmarks():
     assert sandwich_check(rows, rows.T, 1.0, 0.0, 2) is True
 
 
+def test_sandwich_check_never_joins_unreachable_landmarks():
+    # VR joins no pair at infinite distance, also when alpha / 3 is inf
+    a = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    assert sandwich_check(a, a, np.inf, 0.0, 1) is True
+
+
+def test_sandwich_check_builds_no_triangles(monkeypatch):
+    import wtopo.complexes as complexes
+
+    calls = []
+    monkeypatch.setattr(complexes, "_triangles", lambda *a: calls.append(a))
+    path = Graph.from_edges(8, [(i, i + 1) for i in range(7)])
+    rows = geodesics(path, range(8)).dists
+    assert sandwich_check(rows, rows.T, 3.0, 0.0, 2) is True       # witness triangles
+    assert sandwich_check(rows, rows[:, :1].T, 3.0, 0.0, 2) is False   # 0 misses (6, 7)
+    assert calls == []
+
+
 def test_is_weak_witness_rejects_bad_sigma():
     land, wit = six_cycle_rows((0, 3))
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import io
+import re
 import struct
 
 import numpy as np
@@ -417,6 +418,42 @@ def test_a_dimension_above_max_dim_is_an_error(entry, max_dim, dimension):
     with pytest.raises(ValueError, match=f"^dimension must be <= max_dim, got dimension "
                                          f"{dimension} and max_dim {max_dim}$"):
         call()
+
+
+@pytest.mark.parametrize("entry", ["local_encoding", "global_encoding", "stability_sweep"])
+@pytest.mark.parametrize("bad, message", [
+    (dict(fraction=0), "fraction must be in (0, 1], got 0"),
+    (dict(max_dim=7), "max_dim must be 0, 1 or 2"),
+    (dict(max_scale=float("nan")), "max_scale must be a number >= 0, got nan"),
+    (dict(dimension=-1), "dimension must be >= 0, got -1"),
+    (dict(dimension=3, max_dim=1), "dimension must be <= max_dim, got dimension 3 and max_dim 1"),
+])
+def test_an_invalid_request_computes_no_rows_and_no_diameter(monkeypatch, entry, bad, message):
+    import wtopo.encodings
+    import wtopo.graph
+    import wtopo.images
+    import wtopo.landmarks
+
+    calls = []
+
+    def counted(module, name):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(name) or f(*a, **kw))
+
+    for module in (wtopo.graph, wtopo.landmarks, wtopo.encodings):
+        counted(module, "geodesics")
+    for module in (wtopo.graph, wtopo.images):
+        counted(module, "diameter")
+    g = six_cycle()
+    cfg = PIConfig(5, (0.0, 3.0), (0.0, 3.0))       # no cap: resolving it takes a diameter
+    encode = {"local_encoding": local_encoding, "global_encoding": global_encoding,
+              "stability_sweep": lambda g, fraction, cfg, **kw: stability_sweep(
+                  g, [0, 1], 1, fraction, cfg, TopoLossConfig(), **kw)}[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        encode(g, cfg=cfg, **{"fraction": 0.5, **bad})
+    assert calls == []
+    encode(g, 0.5, cfg)          # a valid request reaches the counted bindings
+    assert "geodesics" in calls and "diameter" in calls
 
 
 def test_global_deterministic():
