@@ -15,14 +15,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from . import __version__
-from .complexes import sandwich_check, vr_filtration
+from .complexes import _check_parameters, sandwich_check, vr_filtration
 from .encodings import (TopoLossConfig, global_diagram, global_encoding, local_encoding,
                         topo_loss)
 from .graph import Graph, load_edge_list
-from .images import CAP, DROP, PIConfig, default_config, persistence_image
+from .images import CAP, DROP, PIConfig, _extent, persistence_image
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
                           compute_persistence, diagram_distance)
@@ -72,24 +71,20 @@ def _range(args, key: str) -> tuple[float, float]:
 
 
 def _image_config(args, g: Graph | None) -> PIConfig:
-    if g is None:       # argparse requires both ranges where no graph is read
-        return PIConfig(grid_resolution=args.grid,
-                        birth_range=_range(args, "birth_range"),
-                        persistence_range=_range(args, "pers_range"),
-                        sigma=args.sigma,
-                        essential_policy=args.essential_policy,
-                        cap_value=args.cap_value)
-    # with a graph, each range or cap given replaces only its own default, so
-    # giving explicit ranges never changes the default essential cap
-    cfg = default_config(g, grid_resolution=args.grid, sigma=args.sigma,
-                         essential_policy=args.essential_policy)
-    if args.birth_range:
-        cfg = replace(cfg, birth_range=_range(args, "birth_range"))
-    if args.pers_range:
-        cfg = replace(cfg, persistence_range=_range(args, "pers_range"))
-    if args.cap_value is not None:
-        cfg = replace(cfg, cap_value=args.cap_value)
-    return cfg
+    # each range or cap left unset takes the graph's default (argparse
+    # requires both ranges where no graph is read), so an explicit range
+    # never changes the default essential cap, and the LCC diameter is
+    # computed only when a default is filled
+    ranges = [_range(args, key) if getattr(args, key) else None
+              for key in ("birth_range", "pers_range")]
+    cap = args.cap_value
+    fill_cap = g is not None and cap is None and args.essential_policy == CAP
+    if None in ranges or fill_cap:
+        extent = _extent(g)
+        ranges = [r or (0.0, extent) for r in ranges]
+        cap = extent + 1.0 if fill_cap else cap
+    return PIConfig(args.grid, *ranges, sigma=args.sigma,
+                    essential_policy=args.essential_policy, cap_value=cap)
 
 
 def _encoding_kw(args) -> dict:
@@ -122,13 +117,16 @@ def _cmd_cover(args) -> str:
 
 
 def _cmd_diagram(args) -> str:
-    cover = _cover(args)
-    if args.complex == "vr":
-        filt = vr_filtration(cover.rows.between_sources, args.max_dim, args.max_scale)
-        return _json(compute_persistence(filt, args.algorithm).to_json_obj())
     # union-find is the reduction stopped after dimension 0
-    top = 0 if args.algorithm == UNION_FIND else args.max_dim
-    return _json(global_diagram(cover, args.max_dim, top, args.nu, args.max_scale).to_json_obj())
+    dimension = 0 if args.algorithm == UNION_FIND else args.max_dim
+    top = _check_parameters(args.max_dim, args.max_scale, dimension=dimension)
+    cover = _cover(args)
+    if args.complex == "witness":
+        diagram = global_diagram(cover, args.max_dim, dimension, args.nu, args.max_scale)
+    else:
+        filt = vr_filtration(cover.rows.between_sources, top, args.max_scale)
+        diagram = compute_persistence(filt, args.algorithm)
+    return _json(diagram.to_json_obj())
 
 
 def _cmd_image(args) -> str:

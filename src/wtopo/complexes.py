@@ -25,9 +25,11 @@ def _check_dimension(dimension: int) -> None:
 
 
 def _check_parameters(max_dim: int, max_scale: float = 0.0, nu: int = 0,
-                      num_landmarks: int = 0, dimension: int = 0) -> None:
+                      num_landmarks: int = 0, dimension: int = 0) -> int:
     # the one check of the complex parameters (NaN fails max_scale >= 0) and
-    # of the homology dimension asked of the complex
+    # of the homology dimension asked of the complex; returns the top simplex
+    # dimension to build, min(max_dim, dimension + 1): H_d reads only the
+    # simplices of dimensions d and d + 1, so H0 needs no triangle
     if max_dim not in (0, 1, 2):
         raise ValueError("max_dim must be 0, 1 or 2")
     if not max_scale >= 0.0:
@@ -38,6 +40,7 @@ def _check_parameters(max_dim: int, max_scale: float = 0.0, nu: int = 0,
     if dimension > max_dim:
         raise ValueError(f"dimension must be <= max_dim, got dimension {dimension} "
                          f"and max_dim {max_dim}")
+    return min(max_dim, dimension + 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,25 +78,24 @@ class TopoLossConfig:
 
 
 def _vertex_diagram() -> PersistenceDiagram:
-    # a block with one landmark is one vertex, whose diagram is one essential 0
+    # a cell with one landmark is one vertex, whose diagram is one essential 0
     return PersistenceDiagram({}, {0: np.zeros(1)})
 
 
 def _block_diagram(rows: np.ndarray, landmarks: np.ndarray,
-                   witnesses: slice | np.ndarray, unit_weights: bool, max_dim: int,
+                   witnesses: slice | np.ndarray, unit_weights: bool, top: int,
                    max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
-    """Lazy-witness diagram of one block of two or more landmarks: ``rows``
-    are the geodesic rows from them over a graph in which the columns
-    ``landmarks`` are those landmarks and ``witnesses`` the block's
-    witnesses, every node of the landmarks' components among them. On a
-    unit-weight graph at nu = 0 the edge scales come in closed form from the
-    landmark columns alone, and the witness columns are never read.
-    Dimension 0 keeps only H0, so the reduction stops there."""
-    if unit_weights and nu == 0 and max_dim >= 1:
-        f = _assemble(len(rows), _unit_witness_edge_scales(rows[:, landmarks]),
-                      max_dim, max_scale)
+    """Lazy-witness diagram of one block of landmarks, its complex built up to
+    dimension ``top``: ``rows`` are the geodesic rows from them over a graph
+    in which the columns ``landmarks`` are those landmarks and ``witnesses``
+    the block's witnesses, every node of the landmarks' components among
+    them. On a unit-weight graph at nu = 0 the edge scales come in closed
+    form from the landmark columns alone, and the witness columns are never
+    read. Dimension 0 keeps only H0, so the reduction stops there."""
+    if unit_weights and nu == 0 and top >= 1:
+        f = _assemble(len(rows), _unit_witness_edge_scales(rows[:, landmarks]), top, max_scale)
     else:
-        f = _witness_complex(rows[:, witnesses].T, max_dim, max_scale, nu)
+        f = _witness_complex(rows[:, witnesses].T, top, max_scale, nu)
     return compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION)
 
 
@@ -112,7 +111,8 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     bit. Each cell is witnessed by its members.
     """
     local = cover.local_landmarks
-    _check_parameters(max_dim, max_scale, nu, min(len(m) for m in local.values()), dimension)
+    top = _check_parameters(max_dim, max_scale, nu, min(len(m) for m in local.values()),
+                            dimension)
     several = [l for l, m in local.items() if len(m) > 1]
     diagrams = {l: _vertex_diagram() for l in local}
     if several:
@@ -123,7 +123,7 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
         ends = np.cumsum([m.size for m in marks]).tolist()
         for l, m, e in zip(several, marks, ends):
             diagrams[l] = _block_diagram(rows[e - m.size:e], m, new[list(cover.cells[l])],
-                                         sub.unit_weights, max_dim, max_scale, nu, dimension)
+                                         sub.unit_weights, top, max_scale, nu, dimension)
     return diagrams
 
 
@@ -167,11 +167,9 @@ def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int =
     """Witness diagram of the whole graph over the cover's landmark rows,
     witnessed by every node."""
     rows = cover.rows
-    _check_parameters(max_dim, max_scale, nu, len(rows.sources), dimension)
-    if len(rows.sources) == 1:
-        return _vertex_diagram()
+    top = _check_parameters(max_dim, max_scale, nu, len(rows.sources), dimension)
     return _block_diagram(rows.dists, list(rows.sources), slice(None), cover.unit_weights,
-                          max_dim, max_scale, nu, dimension)
+                          top, max_scale, nu, dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

@@ -9,7 +9,6 @@ downstream filtrations never create simplices across components.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -57,10 +56,11 @@ class Graph:
 
     @classmethod
     def _build(cls, num_nodes: int, pairs, weights,
-               node_features: np.ndarray | None = None) -> "Graph":
+               node_features: np.ndarray | None = None, lines=None) -> "Graph":
         """The one validated constructor: (E, 2) node pairs in any order and
         orientation and their (E,) weights. An error names the first offending
-        edge in input order, checked for self-loop, range, weight, duplicate."""
+        edge in input order, checked for self-loop, range, weight, duplicate,
+        and starts with that edge's line number when ``lines`` gives one per edge."""
         if num_nodes < 1:
             raise ValidationError("graph needs at least one node")
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
@@ -75,10 +75,11 @@ class Graph:
         if bad.any():
             i = int(np.flatnonzero(bad.any(axis=0))[0])
             u, v, w = u[i], v[i], float(weights[i])
-            raise ValidationError((f"self-loop at node {u}",
-                                   f"edge ({u}, {v}) outside [0, {num_nodes})",
-                                   f"edge ({u}, {v}) has non-positive weight {w}",
-                                   f"duplicate edge ({u}, {v})")[np.argmax(bad[:, i])])
+            where = "" if lines is None else f"line {lines[i]}: "
+            raise ValidationError(where + (f"self-loop at node {u}",
+                                           f"edge ({u}, {v}) outside [0, {num_nodes})",
+                                           f"edge ({u}, {v}) has non-positive weight {w}",
+                                           f"duplicate edge ({u}, {v})")[np.argmax(bad[:, i])])
         if node_features is not None:
             node_features = np.asarray(node_features, dtype=np.float64)
             if node_features.ndim != 2 or node_features.shape[0] != num_nodes:
@@ -194,10 +195,13 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
 
     Each non-comment line is "u v" or "u v w" with integer u != v and optional
     real w > 0; '#'-prefixed lines and blank lines are ignored. The node count
-    is 1 + the largest node id seen.
+    is 1 + the largest node id seen (at least 1). A line's tokens are checked
+    as it is read; the edge rules are ``Graph._build``'s, whose error names
+    the first offending line, so a token error comes first wherever it is.
     """
     ids: list[int] = []
     weights: list[float] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -215,15 +219,10 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
                 w = float(parts[2])
             except ValueError:
                 raise GraphParseError(f"line {lineno}: weight must be a real number") from None
-        if u < 0 or v < 0:
-            raise ValidationError(f"line {lineno}: negative node id")
-        if u == v:
-            raise ValidationError(f"line {lineno}: self-loop at node {u}")
-        if not 0.0 < w < math.inf:
-            raise ValidationError(f"line {lineno}: non-positive weight {w}")
         ids += (u, v)
         weights.append(w)
-    return Graph._build(max(ids, default=0) + 1, ids, weights)
+        lines.append(lineno)
+    return Graph._build(max(max(ids, default=0) + 1, 1), ids, weights, lines=lines)
 
 
 def build_knn_graph(features: np.ndarray, k: int, zero_floor: float = 1e-9) -> Graph:

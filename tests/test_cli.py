@@ -2,12 +2,17 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wtopo
 from conftest import random_connected_graph
-from wtopo import build_cover, compute_persistence, select_landmarks, witness_filtration
+from wtopo import (build_cover, compute_persistence, default_config, diameter,
+                   select_landmarks, vr_filtration, witness_filtration)
 from wtopo.cli import _image_config, _load_graph, build_parser, main
 
 SIX_CYCLE = "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
@@ -80,6 +85,54 @@ def test_witness_diagram_matches_the_witness_filtration(tmp_path, capsys, kind, 
                                        float("inf"), nu=nu)
                 want = compute_persistence(f, algorithm).to_json_obj()
                 assert capsys.readouterr().out == json.dumps(want, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("complex_", ["witness", "vr"])
+def test_union_find_diagram_builds_no_triangles(tmp_path, capsys, monkeypatch, complex_):
+    # union-find reads H0, which edges alone decide; the oracle is the staged
+    # max_dim 2 filtration, computed before the triangle search is made to raise
+    import wtopo.complexes as complexes
+
+    def no_triangles(*args):
+        raise AssertionError("a triangle search for a dimension-0 answer")
+
+    rng = np.random.default_rng(93)
+    path = tmp_path / "g.edges"
+    for weighted in (False, True):
+        path.write_text(_edge_lines(random_connected_graph(rng, 40, extra=40,
+                                                           weighted=weighted)))
+        g = _load_graph(str(path))
+        rows = build_cover(g, select_landmarks(g, 0.3)).rows
+        f = (witness_filtration(rows.between_sources, rows.dists.T, 2, float("inf"))
+             if complex_ == "witness" else vr_filtration(rows.between_sources, 2, float("inf")))
+        assert len(f.scales[2]) > 0
+        want = compute_persistence(f, "union-find").to_json_obj()
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_triangles", no_triangles)
+            assert run(["diagram", "-i", str(path), "--fraction", "0.3", "--max-dim", "2",
+                        "--complex", complex_, "--algorithm", "union-find"]) == 0
+        assert capsys.readouterr().out == json.dumps(want, separators=(",", ":")) + "\n"
+
+
+def test_union_find_diagram_peak_memory(tmp_path):
+    # 5k nodes, 250 landmarks: the max_dim 2 complex holds about a million
+    # triangles (about 290 MB peak in total), the complex up to edges about
+    # 100 MB; the ceiling sits between them
+    path = tmp_path / "g.edges"
+    path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(94), 5000,
+                                                       extra=5000)))
+    script = ("import resource, sys; from wtopo.cli import main; "
+              "code = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024); "
+              "sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(wtopo.__file__)), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, "diagram", "-i", str(path),
+                           "--max-dim", "2", "--algorithm", "union-find",
+                           "-o", str(tmp_path / "d.json")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 200
 
 
 def test_diagram_then_loss(cycle_path, tmp_path, capsys):
@@ -222,6 +275,36 @@ def test_essential_cap_ignores_explicit_ranges(tmp_path, ranges):
     assert _image_config(args, _load_graph(str(path))).cap_value == 2.0
 
 
+@pytest.mark.parametrize("policy", ["cap", "drop"])
+@pytest.mark.parametrize("cap", [None, 7.5])
+@pytest.mark.parametrize("pers", [None, (0.0, 3.0)])
+@pytest.mark.parametrize("birth", [None, (1.0, 4.0)])
+def test_image_config_computes_the_diameter_only_for_a_default(monkeypatch, birth, pers,
+                                                               cap, policy):
+    import wtopo.images as images
+
+    rng = np.random.default_rng(95)
+    for weighted in (False, True):
+        g = random_connected_graph(rng, 30, extra=10, weighted=weighted)
+        argv = ["global-features", "-i", "g.edges", "--grid", "3", "--sigma", "0.5",
+                "--essential-policy", policy]
+        # the oracle: the graph's default config, then each range or cap given
+        # replaces its own field
+        want = default_config(g, grid_resolution=3, sigma=0.5, essential_policy=policy)
+        for flag, field, value in (("--birth-range", "birth_range", birth),
+                                   ("--pers-range", "persistence_range", pers),
+                                   ("--cap-value", "cap_value", cap)):
+            if value is not None:
+                argv += [flag, str(value).strip("()").replace(" ", "")]
+                want = replace(want, **{field: value})
+        calls = []
+        monkeypatch.setattr(images, "diameter", lambda h: calls.append(h) or diameter(h))
+        assert _image_config(build_parser().parse_args(argv), g) == want
+        monkeypatch.undo()
+        needs = birth is None or pers is None or cap is None and policy == "cap"
+        assert len(calls) == needs
+
+
 def test_local_features_csv_and_bin(cycle_path, tmp_path):
     csv_out = tmp_path / "f.csv"
     assert run(["local-features", "-i", cycle_path, "--fraction", "0.34",
@@ -361,6 +444,10 @@ def test_sandwich_command(cycle_path, capsys):
     *[([command, "-i", "{g}", "--max-dim", "1", "--dimension", "3"],
        "dimension must be <= max_dim, got dimension 3 and max_dim 1")
       for command in ("global-features", "local-features")],
+    # max_dim is checked before union-find truncates it
+    *[(["diagram", "-i", "{g}", "--max-dim", "7", "--complex", complex_,
+        "--algorithm", algorithm], "max_dim must be 0, 1 or 2")
+      for complex_ in ("witness", "vr") for algorithm in ("reduction", "union-find")],
 ])
 def test_invalid_parameters_exit_1(cycle_path, tmp_path, capsys, argv, message):
     djson = tmp_path / "d.json"

@@ -18,7 +18,7 @@ from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    topo_loss_grad, vr_filtration, witness_filtration)
 from wtopo.complexes import Filtration, _unit_witness_edge_scales, _witness_edge_scales
 from wtopo.encodings import NodeFeatureMatrix
-from wtopo.persistence import REDUCTION, UNION_FIND
+from wtopo.persistence import REDUCTION, UNION_FIND, PersistenceDiagram
 
 
 def six_cycle():
@@ -363,6 +363,77 @@ def test_global_encoding_is_the_image_of_the_cover_diagram():
                                                     dimension=dimension), cfg, dimension)
             got = global_encoding(g, fraction, cfg, max_dim=max_dim, dimension=dimension)
             assert got == want
+
+
+def test_one_landmark_gives_the_one_vertex_diagram():
+    # one landmark is one vertex, whatever the graph and the request: its
+    # diagram is one essential 0 in dimension 0 and nothing else
+    rng = np.random.default_rng(74)
+    cases = 0
+    for trial in range(30):
+        n = int(rng.integers(4, 20))
+        g = random_connected_graph(rng, n, extra=n // 2, weighted=trial % 2 == 1)
+        if trial % 5 == 4:               # a second component and an isolated node
+            g = Graph.from_edges(n + 4, [*zip(*g.edge_array.T, g.weights),
+                                         (n, n + 1, 1.5), (n + 1, n + 2, 1.0)])
+        cover = build_cover(g, LandmarkSet((int(rng.integers(g.num_nodes)),), 0.5))
+        for max_dim in range(3):
+            for dimension in range(max_dim + 1):
+                for nu in range(2):
+                    for max_scale in (np.inf, 0.0, 1.0):
+                        d = global_diagram(cover, max_dim=max_dim, dimension=dimension,
+                                           nu=nu, max_scale=max_scale)
+                        assert d == PersistenceDiagram({}, {0: np.zeros(1)})
+                        assert d.to_json_obj() == [{"dim": 0, "points": [],
+                                                    "essential": [0.0]}]
+                        cases += 1
+    assert cases == 1080
+
+
+def test_a_dimension_0_answer_builds_no_triangles(monkeypatch):
+    # H0 reads vertices and edges only, so every entry point stops the complex
+    # at dimension 1 and still gives the staged max_dim 2 answer, computed
+    # here before the triangle search is made to raise
+    import wtopo
+    import wtopo.complexes as complexes
+    from conftest import oracle_stability_rows
+
+    def staged_cells(cover, max_dim, nu, dimension, max_scale):
+        # the cover's cut graph holds every edge inside a cell
+        return oracle_local_cell_diagrams(cover.cut, cover, max_dim, nu, dimension, max_scale)
+
+    def staged_global(cover, max_dim, dimension, nu, max_scale):
+        return _staged_diagram(cover.rows, max_dim, dimension, nu, max_scale)
+
+    def no_triangles(*args):
+        raise AssertionError("a triangle search for a dimension-0 answer")
+
+    rng = np.random.default_rng(75)
+    for weighted, nu, max_scale in ((False, 0, np.inf), (True, 0, np.inf),
+                                    (False, 1, 2.0), (True, 1, np.inf)):
+        g = random_connected_graph(rng, 50, extra=40, weighted=weighted)
+        kw = dict(max_dim=2, dimension=0, nu=nu, max_scale=max_scale)
+        cfg, fraction = cfg_for(g, r=4), 0.4
+        cover = build_cover(g, select_landmarks(g, fraction))
+        cells = staged_cells(cover, **kw)
+        assert any(len(m) > 1 for m in cover.local_landmarks.values())
+        glob = staged_global(cover, **kw)
+        local = np.zeros((g.num_nodes, 16))
+        for l, members in cover.cells.items():
+            local[list(members)] = persistence_image(cells[l], cfg, 0).flatten()
+        monkeypatch.setattr(wtopo, "global_diagram", staged_global)
+        monkeypatch.setattr(wtopo, "local_cell_diagrams", staged_cells)
+        rows = oracle_stability_rows(g, [0, 2], 2, fraction, cfg, TopoLossConfig(), **kw)
+        monkeypatch.undo()
+
+        monkeypatch.setattr(complexes, "_triangles", no_triangles)
+        assert global_diagram(cover, **kw) == glob
+        assert local_cell_diagrams(cover, **kw) == cells
+        assert np.array_equal(local_encoding(g, fraction, cfg, **kw).values, local)
+        assert global_encoding(g, fraction, cfg, **kw) == persistence_image(glob, cfg, 0)
+        assert stability_sweep(g, [0, 2], 2, fraction, cfg, TopoLossConfig(),
+                               **kw).rows == rows
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("max_scale", [-1.0, float("nan")])

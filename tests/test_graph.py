@@ -48,6 +48,19 @@ def test_load_edge_list_rejects_duplicates_and_bad_weights():
         load_edge_list(io.StringIO("0 1 0\n"))
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("0 1\n# c\n\n1 2\n1 0\n", ValidationError, "line 5: duplicate edge (0, 1)"),
+    ("-1 -2\n", ValidationError, "line 1: edge (-2, -1) outside [0, 1)"),
+    ("0 1\n1 2 nan\n", ValidationError, "line 2: edge (1, 2) has non-positive weight nan"),
+    # the tokens of every line are read before any edge rule is checked
+    ("0 1 -1\n1 x\n", GraphParseError, "line 2: node ids must be integers"),
+], ids=["duplicate-after-comments", "all-negative", "nan-weight", "token-after-value"])
+def test_every_edge_list_error_names_its_line(text, error, message):
+    with pytest.raises(ValueError) as info:
+        load_edge_list(io.StringIO(text))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_edge_list_roundtrip():
     g = Graph.from_edges(4, [(0, 1), (1, 2, 0.25), (2, 3)])
     buf = io.StringIO()
@@ -319,8 +332,22 @@ def _fuzz_edge(rng, n, edges):
     return (u, v, float(rng.choice([1.0, 0.25, 2.5, 1e-9])))
 
 
+def _edge_list_outcome(edges, lines):
+    """The dict oracle's outcome for an edge-list file whose edges sit on
+    ``lines``: 1 + the largest id nodes (at least 1), and an error prefixed
+    with the line of the edge at which the oracle's loop stops."""
+    n = max(max((max(e[:2]) for e in edges), default=0) + 1, 1)
+    want = _outcome(oracle_from_edges, n, edges)
+    if not isinstance(want[1], str):
+        return want
+    stop = next(i for i in range(len(edges))
+                if isinstance(_outcome(oracle_from_edges, n, edges[:i + 1])[1], str))
+    return want[0], f"line {lines[stop]}: {want[1]}"
+
+
 def test_graph_builders_match_dict_oracles():
     rng = np.random.default_rng(66)
+    gaps = np.random.default_rng(67)      # comment and blank lines between edges
     for _ in range(800):
         n = int(rng.integers(0, 13))
         edges = []
@@ -329,13 +356,13 @@ def test_graph_builders_match_dict_oracles():
         feats = (None, rng.normal(size=(max(n, 1), 2)), np.zeros((n + 1, 2)))[rng.integers(0, 3)]
         assert _outcome(Graph.from_edges, n, edges, feats) == \
             _outcome(oracle_from_edges, n, edges, feats)
-        # edge lists whose lines each pass the line checks
-        if all(min(e[:2]) >= 0 and e[0] != e[1] and
-               (len(e) == 2 or 0.0 < e[2] < np.inf) for e in edges):
-            text = "".join(" ".join(map(repr, e)) + "\n" for e in edges)
-            top = max((max(e[:2]) for e in edges), default=0)
-            assert _outcome(load_edge_list, io.StringIO(text)) == \
-                _outcome(oracle_from_edges, top + 1, edges)
+        # every fuzzed list as an edge-list file
+        text, lines = "", []
+        for e in edges:
+            text += str(gaps.choice(["", "", "# 0 0\n", "\n", "\n# c\n"]))
+            text += " ".join(map(repr, e)) + "\n"
+            lines.append(text.count("\n"))
+        assert _outcome(load_edge_list, io.StringIO(text)) == _edge_list_outcome(edges, lines)
 
     for _ in range(300):
         n = int(rng.integers(1, 30))
