@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .complexes import (_assemble, _check_dimension, _check_parameters,
                         _unit_witness_edge_scales, _witness_complex)
-from .graph import Graph, _induced, _write_csv, geodesics
+from .graph import Graph, _induced, _write_csv, geodesics, nearest_sources
 from .images import PIConfig, PersistenceImage, persistence_image, resolve_config
 from .landmarks import Cover, build_cover, select_landmarks
 from .persistence import REDUCTION, UNION_FIND, PersistenceDiagram, compute_persistence
@@ -82,17 +84,55 @@ def _vertex_diagram() -> PersistenceDiagram:
     return PersistenceDiagram({}, {0: np.zeros(1)})
 
 
+def _forest_diagrams(g: Graph, nearest: tuple[np.ndarray, np.ndarray], sizes: list[int],
+                     top: int, max_scale: float) -> list[PersistenceDiagram]:
+    """Dimension-0 lazy-witness diagrams at nu = 0 of blocks of landmarks
+    that share no edge of ``g``: ``nearest`` is ``nearest_sources(g, all
+    landmarks)``, block b holds the next ``sizes[b]`` of them, and every node
+    of their components witnesses. Each graph edge (u, v) of weight w whose
+    ends have different nearest landmarks s(u), s(v) joins them at
+    r = min(max(D(u), w + D(v)), max(D(v), w + D(u))); on unit weights that is
+    ceil((D(u) + 1 + D(v)) / 2). A block's minimum spanning forest under r
+    has the weights of its witness complex's, since both give every landmark
+    pair the same minimax scale, so its weights up to ``max_scale`` are the
+    deaths and every other landmark is an essential 0 (README)."""
+    dist, label = nearest
+    u, v = g.edge_array.T
+    cross = (label[u] != label[v]) & np.isfinite(dist[u])
+    u, v, w = u[cross], v[cross], g.weights[cross]
+    r = np.minimum(np.maximum(dist[u], w + dist[v]), np.maximum(dist[v], w + dist[u]))
+    a, b = np.minimum(label[u], label[v]), np.maximum(label[u], label[v])
+    # the smallest r per landmark pair (scipy would sum repeated entries), in
+    # row-major order, so the pairs are the matrix's CSR layout
+    k = sum(sizes)
+    order = np.lexsort((r, b, a))
+    a, b, r = a[order], b[order], r[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    a, b, r = a[first], b[first], r[first]
+    tree = minimum_spanning_tree(csr_matrix((r, b, np.searchsorted(a, np.arange(k + 1))),
+                                            shape=(k, k)))
+    # tree edges stay in row order, so each block's are one run of them
+    row = np.repeat(np.arange(k), np.diff(tree.indptr))
+    dies = (tree.data <= max_scale) & (top >= 1)     # a max_dim 0 complex has no edge
+    deaths = np.split(tree.data[dies], np.searchsorted(row[dies], np.cumsum(sizes)[:-1]))
+    return [PersistenceDiagram._build({0: np.column_stack([np.zeros(d.size), d])},
+                                      {0: np.zeros(size - d.size)})
+            for size, d in zip(sizes, deaths)]
+
+
 def _block_diagram(rows: np.ndarray, landmarks: np.ndarray,
                    witnesses: slice | np.ndarray, unit_weights: bool, top: int,
                    max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
-    """Lazy-witness diagram of one block of landmarks, its complex built up to
-    dimension ``top``: ``rows`` are the geodesic rows from them over a graph
-    in which the columns ``landmarks`` are those landmarks and ``witnesses``
-    the block's witnesses, every node of the landmarks' components among
-    them. On a unit-weight graph at nu = 0 the edge scales come in closed
-    form from the landmark columns alone, and the witness columns are never
-    read. Dimension 0 keeps only H0, so the reduction stops there."""
-    if unit_weights and nu == 0 and top >= 1:
+    """Lazy-witness diagram of one block of landmarks at nu > 0 or in a
+    dimension above 0, its complex built up to dimension ``top``: ``rows``
+    are the geodesic rows from them over a graph in which the columns
+    ``landmarks`` are those landmarks and ``witnesses`` the block's
+    witnesses, every node of the landmarks' components among them. On a
+    unit-weight graph at nu = 0 the edge scales come in closed form from the
+    landmark columns alone, and the witness columns are never read.
+    Dimension 0 keeps only H0, so the reduction stops there."""
+    if unit_weights and nu == 0:
         f = _assemble(len(rows), _unit_witness_edge_scales(rows[:, landmarks]), top, max_scale)
     else:
         f = _witness_complex(rows[:, witnesses].T, top, max_scale, nu)
@@ -103,12 +143,14 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
     """Lazy-witness diagram of the induced subgraph of every cover cell.
 
-    Only the cells with two or more local landmarks need rows. In the cover's
-    cut graph each cell's induced subgraph is one block, so one geodesics
-    pass over the cut graph induced on those cells, from their local
-    landmarks, gives each cell's rows; shortest-path distances do not depend
-    on node labels, so they equal the rows of the cell's subgraph bit for
-    bit. Each cell is witnessed by its members.
+    Only the cells with two or more local landmarks need a pass. In the
+    cover's cut graph each cell's induced subgraph is one block, so one pass
+    over the cut graph induced on those cells, from their local landmarks,
+    serves every cell: shortest-path distances do not depend on node labels,
+    so they equal those of the cell's subgraph bit for bit. At nu = 0 in
+    dimension 0 that pass is ``nearest_sources``, and one spanning forest
+    gives every cell's diagram; otherwise it is ``geodesics``, whose rows
+    give each cell's complex. Each cell is witnessed by its members.
     """
     local = cover.local_landmarks
     top = _check_parameters(max_dim, max_scale, nu, min(len(m) for m in local.values()),
@@ -119,11 +161,17 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
         keep = np.sort(np.concatenate([cover.cells[l] for l in several]))
         sub, new = _induced(cover.cut, keep)
         marks = [new[list(local[l])] for l in several]
-        rows = geodesics(sub, np.concatenate(marks)).dists
-        ends = np.cumsum([m.size for m in marks]).tolist()
-        for l, m, e in zip(several, marks, ends):
-            diagrams[l] = _block_diagram(rows[e - m.size:e], m, new[list(cover.cells[l])],
-                                         sub.unit_weights, top, max_scale, nu, dimension)
+        sizes = [m.size for m in marks]
+        if nu == 0 and dimension == 0:
+            blocks = _forest_diagrams(sub, nearest_sources(sub, np.concatenate(marks)),
+                                      sizes, top, max_scale)
+        else:
+            rows = geodesics(sub, np.concatenate(marks)).dists
+            ends = np.cumsum(sizes).tolist()
+            blocks = [_block_diagram(rows[e - m.size:e], m, new[list(cover.cells[l])],
+                                     sub.unit_weights, top, max_scale, nu, dimension)
+                      for l, m, e in zip(several, marks, ends)]
+        diagrams.update(zip(several, blocks))
     return diagrams
 
 
@@ -154,7 +202,7 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
                     dimension: int = 0, nu: int = 0,
                     max_scale: float = np.inf) -> PersistenceImage:
     """Witness persistence image of the whole graph: landmarks by degree, every
-    node a witness, geodesic rows computed per landmark."""
+    node a witness (``global_diagram`` of their cover)."""
     ls = select_landmarks(g, fraction)
     _check_parameters(max_dim, max_scale, nu, len(ls), dimension)
     diagram = global_diagram(build_cover(g, ls), max_dim=max_dim,
@@ -164,12 +212,17 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
 
 def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int = 0,
                    max_scale: float = np.inf) -> PersistenceDiagram:
-    """Witness diagram of the whole graph over the cover's landmark rows,
-    witnessed by every node."""
+    """Witness diagram of the whole graph over the cover's landmarks,
+    witnessed by every node: at nu = 0 in dimension 0 the spanning forest
+    over the cover's own nearest landmarks, otherwise the complex over its
+    landmark rows."""
+    top = _check_parameters(max_dim, max_scale, nu, len(cover.landmarks), dimension)
+    if nu == 0 and dimension == 0:
+        return _forest_diagrams(cover.graph, cover.nearest, [len(cover.landmarks)],
+                                top, max_scale)[0]
     rows = cover.rows
-    top = _check_parameters(max_dim, max_scale, nu, len(rows.sources), dimension)
-    return _block_diagram(rows.dists, list(rows.sources), slice(None), cover.unit_weights,
-                          top, max_scale, nu, dimension)
+    return _block_diagram(rows.dists, list(rows.sources), slice(None),
+                          cover.graph.unit_weights, top, max_scale, nu, dimension)
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

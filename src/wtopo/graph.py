@@ -17,6 +17,7 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = np.inf
+_ID_BOUND = 2 ** 63 - 1       # node ids, and the node count (largest id + 1), are int64
 _DIAMETER_BATCH = 8         # source rows per bound-tightening step of ``diameter``
 _BFS_LEVEL_CAP = 32         # unit rows deeper than this come from csgraph
 # a BFS distance code has (_BFS_LEVEL_CAP + 1).bit_length() bits, held in uint8
@@ -213,6 +214,8 @@ def load_edge_list(stream: IO[str] | Iterable[str]) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"line {lineno}: node ids must be integers") from None
+        if not (-_ID_BOUND <= u < _ID_BOUND and -_ID_BOUND <= v < _ID_BOUND):
+            raise GraphParseError(f"line {lineno}: node ids must fit in 64 bits")
         w = 1.0
         if len(parts) == 3:
             try:
@@ -265,14 +268,56 @@ def geodesics(g: Graph, sources: Sequence[int]) -> DistanceMatrix:
     Uses bit-parallel breadth-first search when all weights are 1 (csgraph's
     BFS for rows too deep for it) and Dijkstra otherwise.
     """
+    src = _source_ids(g, sources)
+    dists = (_unit_rows(g, src) if g.unit_weights
+             else csgraph.dijkstra(g._csr, directed=True, indices=src))
+    return DistanceMatrix(tuple(int(s) for s in src), dists)
+
+
+def _source_ids(g: Graph, sources: Sequence[int]) -> np.ndarray:
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
         raise ValueError("sources must be non-empty")
     if src.min() < 0 or src.max() >= g.num_nodes:
         raise ValueError("source ids outside [0, N)")
-    dists = (_unit_rows(g, src) if g.unit_weights
-             else csgraph.dijkstra(g._csr, directed=True, indices=src))
-    return DistanceMatrix(tuple(int(s) for s in src), dists)
+    return src
+
+
+def nearest_sources(g: Graph, sources: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's distance to its nearest source, and the rank (position in
+    ``sources``) of the earliest nearest one; inf and ``len(sources)`` for a
+    node that no source reaches.
+
+    On a unit-weight graph this is one Dijkstra pass from a virtual node
+    joined to the source of rank r by weight r + 1, every edge weighted
+    k + 1 for k sources: a node at distance D from its nearest sources, the
+    earliest of rank r, ends at 1 + r + D (k + 1). Those are integers, exact
+    in float64 while (N + 1)(k + 1) < 2**53. On a weighted graph it is the
+    argmin of the geodesic rows, whose minimum is then the rows' bit for bit.
+    """
+    src = _source_ids(g, sources)
+    if not g.unit_weights:
+        return _nearest_in_rows(geodesics(g, src).dists)
+    n, k = g.num_nodes, src.size
+    u, v = g.edge_array.T
+    # each edge once, as the sorted edge array already lies in CSR order, then
+    # the virtual node's row; the pass reads the matrix as undirected
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(u, minlength=n)), [u.size + k]])
+    joined = csr_matrix((np.concatenate([np.full(u.size, k + 1.0), np.arange(1.0, k + 1)]),
+                         np.concatenate([v, src]), indptr), shape=(n + 1, n + 1))
+    code = csgraph.dijkstra(joined, directed=False, indices=n)[:n]
+    dist, rank = np.full(n, UNREACHABLE), np.full(n, k)
+    reach = np.isfinite(code)
+    dist[reach], rank[reach] = np.divmod(code[reach] - 1.0, k + 1)
+    return dist, rank
+
+
+def _nearest_in_rows(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # nearest_sources read off (k, N) geodesic rows: argmin keeps the first
+    # row on ties
+    rank = np.argmin(dists, axis=0)
+    dist = dists[rank, np.arange(dists.shape[1])]
+    return dist, np.where(np.isfinite(dist), rank, dists.shape[0])
 
 
 def _unit_rows(g: Graph, src: np.ndarray) -> np.ndarray:

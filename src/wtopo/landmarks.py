@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, geodesics
+from .graph import DistanceMatrix, Graph, _nearest_in_rows, geodesics, nearest_sources
 
 
 @dataclass(frozen=True)
@@ -27,26 +28,39 @@ class Cover:
     """Voronoi cells around landmarks, partitioning the node set.
 
     Nodes unreachable from every landmark become self-covered singleton cells
-    (listed in ``self_covered``). ``epsilon_pairwise`` is half the largest
-    finite landmark-to-landmark distance; ``cover_radius`` is the largest
+    (listed in ``self_covered``). ``cover_radius`` is the largest
     node-to-assigned-landmark distance; ``c_epsilon`` the largest cell size.
     ``local_landmarks`` re-runs the degree selection inside each induced cell
-    subgraph. ``cell_of[v]`` is the key of node v's cell; ``rows`` holds the
-    landmark geodesic rows, for the witness filtration; ``cut`` is the graph
-    without its cross-cell edges; ``unit_weights`` says whether every edge of
-    the graph has weight 1. None of the four is serialized.
+    subgraph. ``cell_of[v]`` is the key of node v's cell; ``nearest`` is
+    ``nearest_sources(graph, landmarks)``; ``cut`` is the graph without its
+    cross-cell edges. None of the five is serialized or compared.
+
+    ``rows`` (the landmark geodesic rows) and ``epsilon_pairwise`` (half the
+    largest finite landmark-to-landmark distance) are computed on first read
+    and kept; a cover of a weighted graph keeps the rows its cells came from.
+    Neither is compared.
     """
 
     cells: dict[int, tuple[int, ...]]
-    epsilon_pairwise: float
     cover_radius: float
     c_epsilon: int
     local_landmarks: dict[int, tuple[int, ...]]
     self_covered: tuple[int, ...]
+    graph: Graph = field(compare=False, repr=False)
+    landmarks: tuple[int, ...] = field(compare=False, repr=False)
+    nearest: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)  # (N,), (N,)
     cell_of: np.ndarray = field(compare=False, repr=False)   # (N,) int64
-    rows: DistanceMatrix = field(compare=False, repr=False)  # (L, N)
     cut: Graph = field(compare=False, repr=False)            # same-cell edges only
-    unit_weights: bool = field(compare=False, repr=False)
+
+    @cached_property
+    def rows(self) -> DistanceMatrix:
+        return geodesics(self.graph, self.landmarks)
+
+    @cached_property
+    def epsilon_pairwise(self) -> float:
+        land_dists = self.rows.between_sources
+        finite = land_dists[np.isfinite(land_dists)]
+        return 0.5 * float(finite.max()) if finite.size else 0.0
 
     def to_json(self) -> str:
         obj = {
@@ -88,19 +102,17 @@ def build_cover(g: Graph, ls: LandmarkSet) -> Cover:
 
 
 def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
-    rows = geodesics(g, ls.landmarks)     # rejects empty or out-of-range landmarks
-    land = np.asarray(rows.sources, dtype=np.int64)
-
-    nearest_rank = np.argmin(rows.dists, axis=0)     # first occurrence wins ties
-    nearest_dist = rows.dists[nearest_rank, np.arange(g.num_nodes)]
-    reachable = np.isfinite(nearest_dist)
+    # a weighted graph's labels are the argmin of its landmark rows (rejects
+    # empty or out-of-range landmarks), which the cover keeps
+    rows = None if g.unit_weights else geodesics(g, ls.landmarks)
+    dist, rank = (nearest_sources(g, ls.landmarks) if rows is None
+                  else _nearest_in_rows(rows.dists))
+    land = np.asarray(ls.landmarks, dtype=np.int64)
+    reachable = np.isfinite(dist)
     unreachable_nodes = np.flatnonzero(~reachable)
-    cell_of = np.where(reachable, land[nearest_rank], np.arange(g.num_nodes))
-
-    land_dists = rows.between_sources
-    finite = land_dists[np.isfinite(land_dists)]
-    epsilon_pairwise = 0.5 * float(finite.max()) if finite.size else 0.0
-    cover_radius = float(nearest_dist[reachable].max()) if reachable.any() else 0.0
+    cell_of = np.arange(g.num_nodes)
+    cell_of[reachable] = land[rank[reachable]]
+    cover_radius = float(dist[reachable].max()) if reachable.any() else 0.0
 
     # a cell keeps exactly the edges whose two ends it owns (still sorted, valid)
     same = cell_of[g.edge_array[:, 0]] == cell_of[g.edge_array[:, 1]]
@@ -119,15 +131,18 @@ def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
         k: tuple(ranked[k][:landmark_count(len(cells[k]), ls.fraction)].tolist())
         for k in order}
 
-    return Cover(
+    cover = Cover(
         cells=cells,
-        epsilon_pairwise=epsilon_pairwise,
         cover_radius=cover_radius,
         c_epsilon=max(len(m) for m in cells.values()),
         local_landmarks=local_landmarks,
         self_covered=tuple(unreachable_nodes.tolist()),
+        graph=g,
+        landmarks=ls.landmarks,
+        nearest=(dist, rank),
         cell_of=cell_of,
-        rows=rows,
         cut=cut,
-        unit_weights=g.unit_weights,
     )
+    if rows is not None:
+        cover.__dict__["rows"] = rows       # where the cached property keeps it
+    return cover

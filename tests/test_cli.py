@@ -212,6 +212,17 @@ def test_malformed_diagram_json_is_a_one_line_error(tmp_path, capsys, command, o
     assert err.startswith("wtopo: error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line", ["0 99999999999999999999", "-99999999999999999999 1",
+                                  "9223372036854775807 0"])
+def test_a_node_id_beyond_int64_is_a_one_line_error(tmp_path, capsys, line):
+    path = tmp_path / "big.edges"
+    path.write_text(f"0 1\n{line}\n")
+    assert run(["diagram", "-i", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "wtopo: error: line 2: node ids must fit in 64 bits\n"
+
+
 @pytest.mark.parametrize("flags", [["--cap-value", "nan"], ["--cap-value", "inf"],
                                    ["--birth-range", "0,inf"], ["--sigma", "inf"]])
 def test_image_rejects_non_finite_config(tmp_path, capsys, flags):

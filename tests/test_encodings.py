@@ -1,15 +1,21 @@
 import io
+import os
 import re
 import struct
+import subprocess
+import sys
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (diagram_of, oracle_assemble, oracle_local_cell_diagrams,
-                      oracle_witness_edge_scales, random_connected_graph, random_diagram)
+from conftest import (diagram_of, edge_dict, oracle_assemble, oracle_local_cell_diagrams,
+                      oracle_reduction, oracle_witness_edge_scales, random_connected_graph,
+                      random_diagram)
+import wtopo
 from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    build_cover, compute_persistence, connected_components, default_config,
                    diagram_distance, diameter, geodesics, global_diagram,
@@ -18,6 +24,7 @@ from wtopo import (Graph, LandmarkSet, PIConfig, TopoLossConfig, all_pairs,
                    topo_loss_grad, vr_filtration, witness_filtration)
 from wtopo.complexes import Filtration, _unit_witness_edge_scales, _witness_edge_scales
 from wtopo.encodings import NodeFeatureMatrix
+from wtopo.graph import nearest_sources
 from wtopo.persistence import REDUCTION, UNION_FIND, PersistenceDiagram
 
 
@@ -178,29 +185,37 @@ def test_local_cell_diagrams_reduce_only_cells_with_two_landmarks(monkeypatch):
         reduced.append(f)
         return compute_persistence(f, *args, **kw)
 
-    def recording(graph, sources):
-        sourced.append((graph, np.asarray(sources)))
-        return geodesics(graph, sources)
+    def recording(name, f):
+        def record(graph, sources):
+            sourced.append((name, graph, np.asarray(sources)))
+            return f(graph, sources)
+        return record
 
-    # the rows come from the cut graph induced on the cells with two or more
-    # local landmarks, relabelled in increasing order, from those landmarks
+    # the one pass runs over the cut graph induced on the cells with two or
+    # more local landmarks, relabelled in increasing order, from those
+    # landmarks: geodesic rows for a complex in dimension 1, nearest
+    # landmarks for the spanning forest in dimension 0, which reduces nothing
     keep = np.sort(np.concatenate([cover.cells[l] for l in several]))
     marks = np.concatenate([cover.local_landmarks[l] for l in several])
     kept = np.isin(cover.cut.edge_array[:, 0], keep)
     sourced = []
     monkeypatch.setattr("wtopo.encodings.compute_persistence", counting)
-    monkeypatch.setattr("wtopo.encodings.geodesics", recording)
-    for max_dim, dimension in ((2, 1), (1, 0)):
+    monkeypatch.setattr("wtopo.encodings.geodesics", recording("geodesics", geodesics))
+    monkeypatch.setattr("wtopo.encodings.nearest_sources",
+                        recording("nearest_sources", nearest_sources))
+    for max_dim, dimension, pass_, complexes in ((2, 1, "geodesics", len(several)),
+                                                 (1, 0, "nearest_sources", 0)):
         reduced.clear()
         sourced.clear()
         got = local_cell_diagrams(cover, max_dim=max_dim, dimension=dimension)
-        [(sub, sources)] = sourced
+        [(name, sub, sources)] = sourced
+        assert name == pass_
         assert np.array_equal(keep[sources], marks)
         assert sub.num_nodes == keep.size
         assert np.array_equal(keep[sub.edge_array], cover.cut.edge_array[kept])
-        assert len(reduced) == len(several)
+        assert len(reduced) == complexes
         assert ([f.scales[0].size for f in reduced]
-                == [len(cover.local_landmarks[l]) for l in several])
+                == [len(cover.local_landmarks[l]) for l in several][:complexes])
         want = oracle_local_cell_diagrams(g, cover, max_dim, 0, dimension, np.inf)
         assert got == want
         assert all(got[l] == want[l] == diagram_of([], [0.0]) for l in cover.cells
@@ -260,6 +275,141 @@ def test_unit_witness_blocks_match_the_oracle(case):
                                                          max_scale)
 
 
+@st.composite
+def forest_case(draw):
+    # unit, integer-weight and decimal-weight graphs (the decimals make
+    # rounded float ties), connected (a spanning path) or not, with
+    # landmarks by degree and by hand, so that some cells hold several
+    n = draw(st.integers(2, 16))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    order = draw(st.permutations(range(n)))
+    path = zip(order, order[1:]) if draw(st.booleans()) else ()
+    edges = sorted({(min(p), max(p)) for p in [*pairs, *path] if p[0] != p[1]})
+    choices = draw(st.sampled_from([(1.0,), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7, 1.0)]))
+    weights = draw(st.lists(st.sampled_from(choices), min_size=len(edges),
+                            max_size=len(edges)))
+    g = Graph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, weights)])
+    fraction = draw(st.sampled_from([0.2, 0.4, 0.7, 1.0]))
+    marks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+    covers = (build_cover(g, select_landmarks(g, fraction)),
+              build_cover(g, LandmarkSet(tuple(marks), fraction)))
+    max_dim = draw(st.sampled_from([0, 1, 2]))
+    max_scale = draw(st.sampled_from([0.0, 0.3, 1.0, 1.5, 2.0, np.inf]))
+    return g, covers, max_dim, max_scale
+
+
+def _oracle_h0(rows, max_dim, max_scale):
+    # H0 of the brute-force witness complex over every witness column, by the
+    # set-column reduction; its deaths are pinned to networkx's spanning
+    # forest of the landmark pairs at their witness scales up to max_scale
+    scales = oracle_witness_edge_scales(rows.T, nu=0)
+    full = oracle_reduction(oracle_assemble(len(rows), scales, max_dim, max_scale))
+    h0 = PersistenceDiagram._build({0: full.points_in(0)}, {0: full.essential_in(0)})
+    pairs = nx.Graph()
+    pairs.add_nodes_from(range(len(rows)))
+    if max_dim >= 1:
+        pairs.add_weighted_edges_from((i, j, scales[i, j]) for i in range(len(rows))
+                                      for j in range(i)
+                                      if np.isfinite(scales[i, j]) and scales[i, j] <= max_scale)
+    forest = sorted(d["weight"] for _, _, d in nx.minimum_spanning_edges(pairs))
+    assert h0.points_in(0)[:, 1].tolist() == forest
+    assert h0.essential_in(0).size == len(rows) - len(forest)
+    return h0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forest_case())
+def test_dimension_0_diagrams_match_the_spanning_forest_oracle(case):
+    g, covers, max_dim, max_scale = case
+    kw = dict(max_dim=max_dim, dimension=0, max_scale=max_scale)
+    for cover in covers:
+        # the global block: every node witnesses
+        assert global_diagram(cover, **kw) == _oracle_h0(cover.rows.dists, max_dim, max_scale)
+        cells = local_cell_diagrams(cover, **kw)
+        for l, members in cover.cells.items():
+            # a cell block: its members witness, in the cell's own subgraph
+            index = {v: i for i, v in enumerate(members)}
+            sub = Graph.from_edges(len(members), [
+                (index[u], index[v], w) for (u, v), w in edge_dict(g).items()
+                if u in index and v in index])
+            rows = geodesics(sub, [index[v] for v in cover.local_landmarks[l]])
+            assert cells[l] == _oracle_h0(rows.dists, max_dim, max_scale)
+
+
+def test_unit_dimension_0_answers_compute_no_rows(monkeypatch):
+    # at nu = 0 in dimension 0 a unit graph needs no landmark rows: the staged
+    # outputs are computed first, then every geodesics binding raises and the
+    # entry points run on a fresh copy of the graph (no memoised cover)
+    from conftest import oracle_stability_rows
+
+    def staged_cells(cover, max_dim, nu, dimension, max_scale):
+        # the cover's cut graph holds every edge inside a cell
+        return oracle_local_cell_diagrams(cover.cut, cover, max_dim, nu, dimension, max_scale)
+
+    def staged_global(cover, max_dim, dimension, nu, max_scale):
+        return _staged_diagram(cover.rows, max_dim, dimension, nu, max_scale)
+
+    def no_rows(*args, **kw):
+        raise AssertionError("landmark rows for a unit-weight H0 answer")
+
+    rng = np.random.default_rng(77)
+    g = random_connected_graph(rng, 80, extra=60)
+    cfg, fraction = cfg_for(g, r=4), 0.2       # the cap is set: no diameter either
+    for max_dim, max_scale in ((1, np.inf), (2, 2.0)):
+        kw = dict(max_dim=max_dim, dimension=0, nu=0, max_scale=max_scale)
+        cover = build_cover(g, select_landmarks(g, fraction))
+        assert any(len(m) > 1 for m in cover.local_landmarks.values())
+        cells, glob = staged_cells(cover, **kw), staged_global(cover, **kw)
+        local = np.zeros((g.num_nodes, 16))
+        for l, members in cover.cells.items():
+            local[list(members)] = persistence_image(cells[l], cfg, 0).flatten()
+        monkeypatch.setattr(wtopo, "global_diagram", staged_global)
+        monkeypatch.setattr(wtopo, "local_cell_diagrams", staged_cells)
+        rows = oracle_stability_rows(g, [0, 3], 2, fraction, cfg, TopoLossConfig(),
+                                     mode="landmark-targeted", **kw)
+        monkeypatch.undo()
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "wtopo" and hasattr(module, "geodesics"):
+                monkeypatch.setattr(module, "geodesics", no_rows)
+        fresh = Graph.from_edges(g.num_nodes, g.edge_array.tolist())
+        assert np.array_equal(local_encoding(fresh, fraction, cfg, **kw).values, local)
+        assert global_encoding(fresh, fraction, cfg, **kw) == persistence_image(glob, cfg, 0)
+        assert stability_sweep(fresh, [0, 3], 2, fraction, cfg, TopoLossConfig(),
+                               mode="landmark-targeted", **kw).rows == rows
+        monkeypatch.undo()
+
+
+def test_unit_encodings_at_80k_nodes_peak_memory(tmp_path):
+    # the H0 encodings of an 80k-node unit graph (a random recursive tree
+    # plus 80k extra edges, L = 4000) with the cap set build no L x N rows
+    # and no L x L table: about 130 MB peak with the graph's construction
+    # (Python 3.11, numpy 2.4, scipy 1.17), where the rows alone would take
+    # 2.6 GB
+    script = """if True:
+        import resource
+        import numpy as np
+        from wtopo import Graph, PIConfig, global_encoding, local_encoding
+        n = 80_000
+        rng = np.random.default_rng(5)
+        tree = np.column_stack([np.arange(1, n), (rng.random(n - 1) * np.arange(1, n)).astype(np.int64)])
+        pairs = np.sort(np.concatenate([tree, rng.integers(0, n, size=(n, 2))]), axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+        g = Graph.from_edges(n, map(tuple, pairs.tolist()))
+        cfg = PIConfig(5, (0.0, 30.0), (0.0, 30.0), cap_value=31.0)
+        local_encoding(g, 0.05, cfg, dimension=0)
+        global_encoding(g, 0.05, cfg, dimension=0)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(wtopo.__file__)), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 400
+
+
 def test_weighted_covers_and_positive_nu_reach_the_witness_kernel(monkeypatch):
     calls = []
 
@@ -267,7 +417,12 @@ def test_weighted_covers_and_positive_nu_reach_the_witness_kernel(monkeypatch):
         calls.append(witness_dists.shape)
         return _witness_edge_scales(witness_dists, m_nu)
 
+    def closed_form(land_dists):
+        calls.append("closed form")
+        return _unit_witness_edge_scales(land_dists)
+
     monkeypatch.setattr("wtopo.complexes._witness_edge_scales", counting)
+    monkeypatch.setattr("wtopo.encodings._unit_witness_edge_scales", closed_form)
     rng = np.random.default_rng(73)
     for weighted, nu, kernel in ((True, 0, True), (False, 1, True), (True, 1, True),
                                  (False, 0, False)):
@@ -277,13 +432,18 @@ def test_weighted_covers_and_positive_nu_reach_the_witness_kernel(monkeypatch):
         assert several
         for max_dim in (1, 2):
             calls.clear()
-            global_diagram(cover, max_dim=max_dim, nu=nu)
-            local_cell_diagrams(cover, max_dim=max_dim, nu=nu)
+            global_diagram(cover, max_dim=max_dim, nu=nu, dimension=1)
+            local_cell_diagrams(cover, max_dim=max_dim, nu=nu, dimension=1)
             # the witness rows: every node for the global block, the members
             # of each cell with two or more local landmarks
             want = [(g.num_nodes, 3)] + [(len(cover.cells[l]), len(cover.local_landmarks[l]))
                                          for l in several]
-            assert calls == (want if kernel else [])
+            assert calls == (want if kernel else ["closed form"] * len(want))
+            # dimension 0 at nu = 0 reads a spanning forest: neither edge rule runs
+            calls.clear()
+            global_diagram(cover, max_dim=max_dim)
+            local_cell_diagrams(cover, max_dim=max_dim)
+            assert calls == []
 
 
 @pytest.mark.parametrize("max_dim, dimension", [(0, 0), (1, 0), (2, 1)])
@@ -513,6 +673,7 @@ def test_an_invalid_request_computes_no_rows_and_no_diameter(monkeypatch, entry,
 
     for module in (wtopo.graph, wtopo.landmarks, wtopo.encodings):
         counted(module, "geodesics")
+        counted(module, "nearest_sources")
     for module in (wtopo.graph, wtopo.images):
         counted(module, "diameter")
     g = six_cycle()
@@ -524,7 +685,7 @@ def test_an_invalid_request_computes_no_rows_and_no_diameter(monkeypatch, entry,
         encode(g, cfg=cfg, **{"fraction": 0.5, **bad})
     assert calls == []
     encode(g, 0.5, cfg)          # a valid request reaches the counted bindings
-    assert "geodesics" in calls and "diameter" in calls
+    assert {"geodesics", "nearest_sources", "diameter"} <= set(calls)
 
 
 def test_global_deterministic():

@@ -54,7 +54,10 @@ def test_load_edge_list_rejects_duplicates_and_bad_weights():
     ("0 1\n1 2 nan\n", ValidationError, "line 2: edge (1, 2) has non-positive weight nan"),
     # the tokens of every line are read before any edge rule is checked
     ("0 1 -1\n1 x\n", GraphParseError, "line 2: node ids must be integers"),
-], ids=["duplicate-after-comments", "all-negative", "nan-weight", "token-after-value"])
+    ("0 1 -1\n0 9223372036854775808\n", GraphParseError,
+     "line 2: node ids must fit in 64 bits"),
+], ids=["duplicate-after-comments", "all-negative", "nan-weight", "token-after-value",
+        "id-beyond-int64"])
 def test_every_edge_list_error_names_its_line(text, error, message):
     with pytest.raises(ValueError) as info:
         load_edge_list(io.StringIO(text))

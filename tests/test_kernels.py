@@ -15,7 +15,8 @@ from wtopo import (UNION_FIND, Filtration, Graph, build_cover, compute_persisten
                    select_landmarks)
 from wtopo.complexes import (_level_products, _pair_loop, _witness_edge_scales,
                              relaxation_terms)
-from wtopo.graph import _DIAMETER_BATCH, connected_components, diameter, geodesics
+from wtopo.graph import (_DIAMETER_BATCH, connected_components, diameter, geodesics,
+                         nearest_sources)
 
 
 def to_networkx(g):
@@ -105,6 +106,50 @@ def test_unit_rows_equal_csgraph(case):
     got = geodesics(g, sources).dists
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert np.array_equal(got, csgraph_unit_rows(g, sources))
+
+
+def oracle_nearest(g, sources):
+    # a plain loop over the geodesic rows: each node's first source at the
+    # smallest distance; inf and len(sources) where none reaches it
+    rows = geodesics(g, sources).dists
+    dist, rank = np.full(g.num_nodes, np.inf), np.full(g.num_nodes, len(sources))
+    for v in range(g.num_nodes):
+        for r in range(len(sources)):
+            if rows[r, v] < dist[v]:
+                dist[v], rank[v] = rows[r, v], r
+    return dist, rank
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unit_graph_and_sources(), st.data())
+def test_nearest_sources_match_the_rows_oracle(case, data):
+    # repeated sources, several components, isolated and unreached nodes;
+    # unit, integer and decimal weights (the decimals make rounded float ties)
+    g, sources = case
+    choices = data.draw(st.sampled_from([(1.0,), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7, 1.0)]))
+    weights = data.draw(st.lists(st.sampled_from(choices), min_size=g.num_edges,
+                                 max_size=g.num_edges))
+    g = Graph.from_edges(g.num_nodes, [(u, v, w) for (u, v), w
+                                       in zip(g.edge_array.tolist(), weights)])
+    dist, rank = nearest_sources(g, sources)
+    want_dist, want_rank = oracle_nearest(g, sources)
+    assert dist.dtype == np.float64 and np.array_equal(dist, want_dist)
+    assert np.array_equal(rank, want_rank)
+
+
+def test_nearest_sources_on_a_deep_path_with_an_unreached_component():
+    # a 10k path, its ties between two sources at equal distance, and a
+    # second path that no source reaches
+    n = 10_000
+    g = Graph.from_edges(n + 5, [*((i, i + 1) for i in range(n - 1)),
+                                 *((i, i + 1) for i in range(n, n + 4))])
+    rng = np.random.default_rng(97)
+    sources = [9_999, 20, 10, *rng.integers(0, n, size=20).tolist(), 10]
+    dist, rank = nearest_sources(g, sources)
+    want_dist, want_rank = oracle_nearest(g, sources)
+    assert np.array_equal(dist, want_dist) and np.array_equal(rank, want_rank)
+    assert rank[15] == 1 and np.isinf(dist[n:]).all() and (rank[n:] == len(sources)).all()
+    assert dist.max(initial=0, where=np.isfinite(dist)) > 255
 
 
 @pytest.mark.parametrize("n", [300, 2000])

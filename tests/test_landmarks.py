@@ -6,6 +6,7 @@ import pytest
 from conftest import random_connected_graph, random_graph
 from wtopo import (Graph, LandmarkSet, build_cover, geodesics,
                    select_landmarks)
+from wtopo.graph import nearest_sources
 from wtopo.landmarks import landmark_count
 
 
@@ -198,8 +199,9 @@ def test_build_cover_is_memoised_on_the_graph(monkeypatch):
     g = random_connected_graph(rng, 30, extra=10)
     first = build_cover(g, select_landmarks(g, 0.2))
     calls = []
-    monkeypatch.setattr(wtopo.landmarks, "geodesics",
-                        lambda *args, **kw: calls.append(args) or geodesics(*args, **kw))
+    for name, f in (("geodesics", geodesics), ("nearest_sources", nearest_sources)):
+        monkeypatch.setattr(wtopo.landmarks, name,
+                            lambda *args, f=f, **kw: calls.append(args) or f(*args, **kw))
     assert build_cover(g, select_landmarks(g, 0.2)) is first
     assert calls == []
     # another landmark set, or the same landmarks under another fraction
