@@ -18,7 +18,7 @@ from scipy.sparse import csgraph, csr_matrix
 
 UNREACHABLE = np.inf
 _ID_BOUND = 2 ** 63 - 1       # node ids, and the node count (largest id + 1), are int64
-_DIAMETER_BATCH = 8         # source rows per bound-tightening step of ``diameter``
+_DIAMETER_BATCH = 8         # sources per ``diameter`` batch that is not one whole BFS word
 _BFS_LEVEL_CAP = 32         # unit rows deeper than this come from csgraph
 # a BFS distance code has (_BFS_LEVEL_CAP + 1).bit_length() bits, held in uint8
 assert (_BFS_LEVEL_CAP + 1).bit_length() <= 8
@@ -327,12 +327,15 @@ def _unit_rows(g: Graph, src: np.ndarray) -> np.ndarray:
 
     Each level ORs the frontier words of every node's neighbours and keeps the
     bits not seen before; a pair first seen at level l gets distance l, written
-    into bit planes. Once the levels run exceed one per source and word, or
-    reach ``_BFS_LEVEL_CAP``, the same sources go to csgraph's BFS instead. A
-    level over every node and word measured at most about a third of one
-    source's heap BFS (paths, grids, the benchmark's graphs), so the levels
-    spent before that fallback cost at most about a third of the fallback,
-    and deep graphs such as long paths never make the loop quadratic.
+    into bit planes. A level over every node and word measured at most about a
+    third of one source's heap BFS (paths, grids, the benchmark's graphs), so
+    k sources in w words get a budget of 3k / w levels, which cost about what
+    csgraph's BFS of the same sources does. Past k / w levels the word goes on
+    only while the node words that still hold an unseen bit, reached at the
+    last level's rate, would all be reached within the budget; otherwise, or
+    at ``_BFS_LEVEL_CAP``, the sources go to csgraph's BFS instead. A deep
+    graph such as a path or a grid fails that test the first time it is
+    made, while a word that is nearly done runs on.
     """
     n, k = g.num_nodes, src.size
     words = -(-k // 64)
@@ -346,9 +349,10 @@ def _unit_rows(g: Graph, src: np.ndarray) -> np.ndarray:
     unseen[:, -1] &= np.uint64(2 ** 64 - 1) >> np.uint64(-k % 64)
     new, reach = front[:n], np.zeros((n, words), dtype=np.uint64)
     planes = []                                 # bit b of every distance
-    depth = 0
+    depth, patience, budget = 0, k // words, 3 * k // words
     while unseen.any():
-        if depth == _BFS_LEVEL_CAP or depth * words > k:
+        if depth == _BFS_LEVEL_CAP or (depth > patience and np.count_nonzero(unseen)
+                                       > np.count_nonzero(new) * (budget - depth)):
             return csgraph.dijkstra(g._csr, directed=True, indices=src, unweighted=True)
         for lo, hi, table in tables:
             np.bitwise_or.reduce(np.take(front, table, axis=0), axis=0, out=reach[lo:hi])
@@ -388,17 +392,22 @@ def diameter(g: Graph) -> float:
     Every node keeps a lower and an upper bound on its eccentricity. Each
     computed source row tightens the bounds of the nodes it reaches, and a
     node is dropped once its upper bound shows its row cannot exceed the
-    largest row maximum found so far. Sources are taken a few at a time,
+    largest row maximum found so far. Sources are taken a batch at a time,
     alternately those with the largest upper bound (likely periphery) and
-    those with the smallest lower bound (likely centre). The result is the
-    maximum over the rows actually computed, so it equals the all-pairs
-    maximum bit for bit, for weighted graphs too.
+    those with the smallest lower bound (likely centre). A batch is one whole
+    BFS word of 64 sources on a unit-weight graph once every candidate's
+    eccentricity is known to be below ``_BFS_LEVEL_CAP``, and
+    ``_DIAMETER_BATCH`` sources otherwise. The result is the maximum over the
+    rows actually computed, so it equals the all-pairs maximum bit for bit,
+    for weighted graphs too.
     """
     n = g.num_nodes
     labels = g._component_labels
+    sizes = np.bincount(labels)
+    connected = sizes.size == 1                      # every row reaches every node
     w_max = float(g.weights.max()) if g.num_edges else 0.0
     lo = np.zeros(n)
-    hi = (np.bincount(labels)[labels] - 1) * w_max    # isolated nodes: 0
+    hi = (sizes[labels] - 1) * w_max                  # isolated nodes: 0
     # unit distances are integers, so ``hi <= best`` prunes exactly; weighted
     # ones keep every node whose row could round to the maximum
     keep_above = 1.0 if g.unit_weights else 1.0 - 1e-9
@@ -409,18 +418,37 @@ def diameter(g: Graph) -> float:
         cand = np.flatnonzero(active)
         if cand.size == 0:
             return best
-        key = -hi[cand] if turn % 2 == 0 else lo[cand]
-        # a whole BFS word of sources once every candidate's eccentricity is
-        # known to be within the level cap, so a full word never hits it
-        size = 64 if g.unit_weights and hi[cand].max() <= _BFS_LEVEL_CAP else _DIAMETER_BATCH
-        batch = cand[np.argsort(key, kind="stable")[:size]]
+        # likely periphery on even turns: the largest upper bound, then the
+        # largest lower one; likely centre on odd turns: the smallest lower
+        # bound, then the smallest upper one; ties by node id
+        order = (np.lexsort((-lo[cand], -hi[cand])) if turn % 2 == 0
+                 else np.lexsort((hi[cand], lo[cand])))
+        batch = cand[order[:64]]
+        if g.unit_weights and hi[cand].max() < _BFS_LEVEL_CAP:
+            # every candidate's row ends below the level cap, and a word of 64
+            # sources runs 64 levels before the work bound looks at it, so one
+            # whole BFS word always finishes. Fewer than 64 candidates are the
+            # last batch, and repeats fill its word
+            batch = np.resize(batch, 64)
+        else:
+            batch = batch[:_DIAMETER_BATCH]
         dists = geodesics(g, batch).dists
-        finite = np.isfinite(dists)
-        ecc = np.where(finite, dists, -np.inf).max(axis=1)[:, None]
+        reached = True if connected else np.isfinite(dists)
+        ecc = dists.max(axis=1, where=reached, initial=0.0)[:, None]
         best = max(best, float(ecc.max()))
-        lo = np.maximum(lo, np.where(finite, np.maximum(dists, ecc - dists), 0.0).max(axis=0))
-        hi = np.minimum(hi, (ecc + dists).min(axis=0))     # inf where unreached
         active[batch] = False
+        # the new maximum drops nodes before the rows update their bounds
+        active &= hi > best * keep_above
+        if not active.any():
+            return best
+        # ecc(v) >= max(d, ecc(u) - d) and ecc(v) <= ecc(u) + d over the rows
+        # u that reach v; an unreached entry (inf) moves neither bound. In
+        # place, ecc(u) - d is read off ecc(u) + d: that rounds only on
+        # weighted rows, and only in ``lo``, which orders the sources but
+        # never drops one
+        np.maximum(lo, dists.max(axis=0, where=reached, initial=0.0), out=lo)
+        np.minimum(hi, np.add(dists, ecc, out=dists).min(axis=0), out=hi)
+        np.maximum(lo, np.subtract(2.0 * ecc, dists, out=dists).max(axis=0), out=lo)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

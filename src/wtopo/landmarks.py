@@ -119,17 +119,17 @@ def _voronoi_cover(g: Graph, ls: LandmarkSet) -> Cover:
     cut = Graph(g.num_nodes, g.edge_array[same], g.weights[same])
 
     # one stable sort groups nodes by cell key with ids ascending; the lexsort
-    # groups them the same way, ranked by (-local degree, id) inside a cell
+    # groups them the same way, ranked by (-local degree, id) inside a cell.
+    # Each order becomes one list, and a cell is a slice of both
     by_id = np.argsort(cell_of, kind="stable")
-    keys, starts = np.unique(cell_of[by_id], return_index=True)
-    members = dict(zip(keys.tolist(), np.split(by_id, starts[1:])))
-    by_rank = np.lexsort((-cut.degrees, cell_of))
-    ranked = dict(zip(keys.tolist(), np.split(by_rank, starts[1:])))
-    order = np.concatenate([land, unreachable_nodes]).tolist()
-    cells = {k: tuple(members[k].tolist()) for k in order}
-    local_landmarks = {
-        k: tuple(ranked[k][:landmark_count(len(cells[k]), ls.fraction)].tolist())
-        for k in order}
+    keys, starts, sizes = np.unique(cell_of[by_id], return_index=True, return_counts=True)
+    span = dict(zip(keys.tolist(), zip(starts.tolist(), sizes.tolist())))
+    by_id, by_rank = by_id.tolist(), np.lexsort((-cut.degrees, cell_of)).tolist()
+    cells, local_landmarks = {}, {}
+    for k in np.concatenate([land, unreachable_nodes]).tolist():
+        start, size = span[k]
+        cells[k] = tuple(by_id[start:start + size])
+        local_landmarks[k] = tuple(by_rank[start:start + landmark_count(size, ls.fraction)])
 
     cover = Cover(
         cells=cells,

@@ -120,17 +120,23 @@ def oracle_nearest(g, sources):
     return dist, rank
 
 
+def reweighted(g, data):
+    """``g`` with unit, integer or decimal weights drawn per edge; the decimals
+    make rounded float ties."""
+    choices = data.draw(st.sampled_from([(1.0,), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7, 1.0)]))
+    weights = data.draw(st.lists(st.sampled_from(choices), min_size=g.num_edges,
+                                 max_size=g.num_edges))
+    return Graph.from_edges(g.num_nodes, [(u, v, w) for (u, v), w
+                                          in zip(g.edge_array.tolist(), weights)])
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(unit_graph_and_sources(), st.data())
 def test_nearest_sources_match_the_rows_oracle(case, data):
     # repeated sources, several components, isolated and unreached nodes;
-    # unit, integer and decimal weights (the decimals make rounded float ties)
+    # unit, integer and decimal weights
     g, sources = case
-    choices = data.draw(st.sampled_from([(1.0,), (1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7, 1.0)]))
-    weights = data.draw(st.lists(st.sampled_from(choices), min_size=g.num_edges,
-                                 max_size=g.num_edges))
-    g = Graph.from_edges(g.num_nodes, [(u, v, w) for (u, v), w
-                                       in zip(g.edge_array.tolist(), weights)])
+    g = reweighted(g, data)
     dist, rank = nearest_sources(g, sources)
     want_dist, want_rank = oracle_nearest(g, sources)
     assert dist.dtype == np.float64 and np.array_equal(dist, want_dist)
@@ -244,6 +250,30 @@ def test_diameter_computes_few_source_rows(monkeypatch):
     monkeypatch.setattr("wtopo.graph.geodesics", counting)
     got = diameter(g)
     assert len(rows) < g.num_nodes // 2
+    assert got == geodesics(g, range(g.num_nodes)).diameter
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(unit_graph_and_sources(), st.data())
+def test_diameter_is_the_all_pairs_maximum_bit_for_bit(case, data):
+    # n <= 80, several components and isolated nodes, deep chains; the
+    # decimal weights round, so the weighted rule that keeps every node whose
+    # row could round to the maximum is exercised
+    g = reweighted(case[0], data)
+    assert diameter(g) == geodesics(g, range(g.num_nodes)).diameter
+
+
+@pytest.mark.parametrize("seed", [3, 6, 7])
+def test_diameter_of_a_benchmark_sized_graph_needs_no_csgraph_rows(monkeypatch, seed):
+    # on these graphs the eight lowest ids, the first batch, reach
+    # eccentricity 10 or more; on seeds 6 and 7 the last batch also has
+    # fewer than 64 candidates
+    g = random_connected_graph(np.random.default_rng(seed), 1500, extra=1500)
+    first = csgraph_unit_rows(g, range(8))
+    assert first.max() >= 10
+    calls = count_unit_csgraph_calls(monkeypatch)
+    got = diameter(g)
+    assert calls == []
     assert got == geodesics(g, range(g.num_nodes)).diameter
 
 
