@@ -122,7 +122,8 @@ def _cmd_diagram(args) -> str:
     top = _check_parameters(args.max_dim, args.max_scale, dimension=dimension)
     cover = _cover(args)
     if args.complex == "witness":
-        diagram = global_diagram(cover, args.max_dim, dimension, args.nu, args.max_scale)
+        diagram = global_diagram(cover, max_dim=args.max_dim, dimension=dimension,
+                                 nu=args.nu, max_scale=args.max_scale)
     else:
         filt = vr_filtration(cover.rows.between_sources, top, args.max_scale)
         diagram = compute_persistence(filt, args.algorithm)
@@ -340,8 +341,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError("binary output needs -o/--output")
         else:
             sys.stdout.write(out)
-    except (ValueError, OSError) as exc:
-        print(f"wtopo: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"wtopo: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

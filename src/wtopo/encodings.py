@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -86,10 +86,9 @@ def _vertex_diagram() -> PersistenceDiagram:
 
 def _forest_diagrams(g: Graph, nearest: tuple[np.ndarray, np.ndarray], sizes: list[int],
                      top: int, max_scale: float) -> list[PersistenceDiagram]:
-    """Dimension-0 lazy-witness diagrams at nu = 0 of blocks of landmarks
-    that share no edge of ``g``: ``nearest`` is ``nearest_sources(g, all
-    landmarks)``, block b holds the next ``sizes[b]`` of them, and every node
-    of their components witnesses. Each graph edge (u, v) of weight w whose
+    """Dimension-0 diagrams at nu = 0 of ``_witness_diagrams``' blocks, block
+    b the next ``sizes[b]`` landmarks of ``nearest`` (their
+    ``nearest_sources`` over ``g``). Each graph edge (u, v) of weight w whose
     ends have different nearest landmarks s(u), s(v) joins them at
     r = min(max(D(u), w + D(v)), max(D(v), w + D(u))); on unit weights that is
     ceil((D(u) + 1 + D(v)) / 2). A block's minimum spanning forest under r
@@ -121,25 +120,34 @@ def _forest_diagrams(g: Graph, nearest: tuple[np.ndarray, np.ndarray], sizes: li
             for size, d in zip(sizes, deaths)]
 
 
-def _block_diagram(rows: np.ndarray, landmarks: np.ndarray,
-                   witnesses: slice | np.ndarray, unit_weights: bool, top: int,
-                   max_scale: float, nu: int, dimension: int) -> PersistenceDiagram:
-    """Lazy-witness diagram of one block of landmarks at nu > 0 or in a
-    dimension above 0, its complex built up to dimension ``top``: ``rows``
-    are the geodesic rows from them over a graph in which the columns
-    ``landmarks`` are those landmarks and ``witnesses`` the block's
-    witnesses, every node of the landmarks' components among them. On a
-    unit-weight graph at nu = 0 the edge scales come in closed form from the
-    landmark columns alone, and the witness columns are never read.
-    Dimension 0 keeps only H0, so the reduction stops there."""
-    if unit_weights and nu == 0:
-        f = _assemble(len(rows), _unit_witness_edge_scales(rows[:, landmarks]), top, max_scale)
-    else:
-        f = _witness_complex(rows[:, witnesses].T, top, max_scale, nu)
-    return compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION)
+def _witness_diagrams(g: Graph, blocks: list[tuple[list[int] | np.ndarray, slice | np.ndarray]],
+                      top: int, max_scale: float, nu: int, dimension: int,
+                      nearest: Callable[[], tuple[np.ndarray, np.ndarray]],
+                      rows: Callable[[], np.ndarray]) -> list[PersistenceDiagram]:
+    """Lazy-witness diagrams of blocks of landmarks that share no edge of
+    ``g``, each complex built up to dimension ``top``. Block b is its
+    landmark and witness columns of ``g``, the witnesses every node of the
+    landmarks' components; ``nearest`` and ``rows`` give the one pass over
+    ``g`` from all blocks' landmarks in order, and only the one read runs.
+    At nu = 0 in dimension 0 that is ``nearest_sources``, for one spanning
+    forest; otherwise each block's complex is built from its rows, on a
+    unit-weight graph at nu = 0 in closed form from the landmark columns
+    alone, and the reduction stops at H0 in dimension 0."""
+    sizes = [len(marks) for marks, _ in blocks]
+    if nu == 0 and dimension == 0:
+        return _forest_diagrams(g, nearest(), sizes, top, max_scale)
+    dists, diagrams = rows(), []
+    for (marks, witnesses), end in zip(blocks, np.cumsum(sizes).tolist()):
+        block = dists[end - len(marks):end]
+        if g.unit_weights and nu == 0:
+            f = _assemble(len(marks), _unit_witness_edge_scales(block[:, marks]), top, max_scale)
+        else:
+            f = _witness_complex(block[:, witnesses].T, top, max_scale, nu)
+        diagrams.append(compute_persistence(f, UNION_FIND if dimension == 0 else REDUCTION))
+    return diagrams
 
 
-def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: int = 0,
+def local_cell_diagrams(cover: Cover, *, max_dim: int = 1, dimension: int = 0, nu: int = 0,
                         max_scale: float = np.inf) -> dict[int, PersistenceDiagram]:
     """Lazy-witness diagram of the induced subgraph of every cover cell.
 
@@ -147,10 +155,9 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     cover's cut graph each cell's induced subgraph is one block, so one pass
     over the cut graph induced on those cells, from their local landmarks,
     serves every cell: shortest-path distances do not depend on node labels,
-    so they equal those of the cell's subgraph bit for bit. At nu = 0 in
-    dimension 0 that pass is ``nearest_sources``, and one spanning forest
-    gives every cell's diagram; otherwise it is ``geodesics``, whose rows
-    give each cell's complex. Each cell is witnessed by its members.
+    so they equal those of the cell's subgraph bit for bit. That pass is
+    ``nearest_sources`` or ``geodesics``, whichever the request reads. Each
+    cell is witnessed by its members.
     """
     local = cover.local_landmarks
     top = _check_parameters(max_dim, max_scale, nu, min(len(m) for m in local.values()),
@@ -160,18 +167,11 @@ def local_cell_diagrams(cover: Cover, max_dim: int = 1, nu: int = 0, dimension: 
     if several:
         keep = np.sort(np.concatenate([cover.cells[l] for l in several]))
         sub, new = _induced(cover.cut, keep)
-        marks = [new[list(local[l])] for l in several]
-        sizes = [m.size for m in marks]
-        if nu == 0 and dimension == 0:
-            blocks = _forest_diagrams(sub, nearest_sources(sub, np.concatenate(marks)),
-                                      sizes, top, max_scale)
-        else:
-            rows = geodesics(sub, np.concatenate(marks)).dists
-            ends = np.cumsum(sizes).tolist()
-            blocks = [_block_diagram(rows[e - m.size:e], m, new[list(cover.cells[l])],
-                                     sub.unit_weights, top, max_scale, nu, dimension)
-                      for l, m, e in zip(several, marks, ends)]
-        diagrams.update(zip(several, blocks))
+        blocks = [(new[list(local[l])], new[list(cover.cells[l])]) for l in several]
+        marks = np.concatenate([m for m, _ in blocks])
+        diagrams.update(zip(several, _witness_diagrams(
+            sub, blocks, top, max_scale, nu, dimension,
+            lambda: nearest_sources(sub, marks), lambda: geodesics(sub, marks).dists)))
     return diagrams
 
 
@@ -210,19 +210,15 @@ def global_encoding(g: Graph, fraction: float, cfg: PIConfig, max_dim: int = 1,
     return persistence_image(diagram, resolve_config(cfg, g), dimension)
 
 
-def global_diagram(cover: Cover, max_dim: int = 1, dimension: int = 0, nu: int = 0,
+def global_diagram(cover: Cover, *, max_dim: int = 1, dimension: int = 0, nu: int = 0,
                    max_scale: float = np.inf) -> PersistenceDiagram:
     """Witness diagram of the whole graph over the cover's landmarks,
-    witnessed by every node: at nu = 0 in dimension 0 the spanning forest
-    over the cover's own nearest landmarks, otherwise the complex over its
-    landmark rows."""
+    witnessed by every node: the one-block case of the cells' route
+    (``_witness_diagrams``), over the cover's own nearest landmarks or rows."""
     top = _check_parameters(max_dim, max_scale, nu, len(cover.landmarks), dimension)
-    if nu == 0 and dimension == 0:
-        return _forest_diagrams(cover.graph, cover.nearest, [len(cover.landmarks)],
-                                top, max_scale)[0]
-    rows = cover.rows
-    return _block_diagram(rows.dists, list(rows.sources), slice(None),
-                          cover.graph.unit_weights, top, max_scale, nu, dimension)
+    return _witness_diagrams(cover.graph, [(list(cover.landmarks), slice(None))],
+                             top, max_scale, nu, dimension,
+                             lambda: cover.nearest, lambda: cover.rows.dists)[0]
 
 
 def topo_loss(d: PersistenceDiagram, cfg: TopoLossConfig, dimension: int = 0) -> float:

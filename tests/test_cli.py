@@ -223,6 +223,25 @@ def test_a_node_id_beyond_int64_is_a_one_line_error(tmp_path, capsys, line):
     assert captured.err == "wtopo: error: line 2: node ids must fit in 64 bits\n"
 
 
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 22.4 GiB for an array with shape (3000000001,)"),
+     "Unable to allocate 22.4 GiB for an array with shape (3000000001,)"),
+    (MemoryError(), "MemoryError")])
+def test_running_out_of_memory_is_a_one_line_error(cycle_path, capsys, monkeypatch, exc,
+                                                  message):
+    # an edge list whose largest id sizes the per-node arrays past the memory
+    # ends in a MemoryError; a stub raises it, since a real allocation of that
+    # size may succeed or end the process, depending on the kernel's overcommit
+    def too_big(fp):
+        raise exc
+
+    monkeypatch.setattr("wtopo.cli.load_edge_list", too_big)
+    assert run(["landmarks", "-i", cycle_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"wtopo: error: {message}\n"
+
+
 @pytest.mark.parametrize("flags", [["--cap-value", "nan"], ["--cap-value", "inf"],
                                    ["--birth-range", "0,inf"], ["--sigma", "inf"]])
 def test_image_rejects_non_finite_config(tmp_path, capsys, flags):

@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import re
@@ -408,6 +409,44 @@ def test_unit_encodings_at_80k_nodes_peak_memory(tmp_path):
                           env=env, timeout=300, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) < 400
+
+
+@pytest.mark.parametrize("weighted, row_passes", [(False, 1), (True, 0)])
+def test_global_diagrams_reuse_the_covers_one_pass(monkeypatch, weighted, row_passes):
+    # every global request reads the cover's own nearest landmarks or rows:
+    # a unit cover computes its rows on their first read, a weighted cover
+    # keeps the rows its cells came from
+    g = random_connected_graph(np.random.default_rng(79), 60, extra=30, weighted=weighted)
+    cover = build_cover(g, select_landmarks(g, 0.1))
+    calls = []
+
+    def counting(name, f):
+        def count(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+        return count
+
+    for module in ("wtopo.encodings", "wtopo.landmarks"):
+        for name in ("nearest_sources", "geodesics"):
+            monkeypatch.setattr(f"{module}.{name}",
+                                counting(name, getattr(sys.modules[module], name)))
+    for dimension in (0, 1):
+        for nu in (0, 1):
+            global_diagram(cover, max_dim=2, dimension=dimension, nu=nu)
+    assert calls == ["geodesics"] * row_passes
+
+
+def test_diagram_requests_take_their_parameters_by_keyword():
+    # both diagram stages name the same four parameters in the same order,
+    # and a positional call cannot put one value in another's place
+    cover = build_cover(six_cycle(), LandmarkSet((0, 3), 0.34))
+    for stage in (global_diagram, local_cell_diagrams):
+        params = list(inspect.signature(stage).parameters.values())
+        assert [p.name for p in params] == ["cover", "max_dim", "dimension", "nu",
+                                            "max_scale"]
+        assert all(p.kind is p.KEYWORD_ONLY for p in params[1:])
+        with pytest.raises(TypeError):
+            stage(cover, 1, 0)
 
 
 def test_weighted_covers_and_positive_nu_reach_the_witness_kernel(monkeypatch):
