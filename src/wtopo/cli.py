@@ -17,7 +17,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .complexes import _check_parameters, sandwich_check, vr_filtration
+from .complexes import _check_parameters, vr_filtration
 from .encodings import (TopoLossConfig, global_diagram, global_encoding, local_encoding,
                         topo_loss)
 from .graph import Graph, load_edge_list
@@ -193,14 +193,6 @@ def _cmd_sweep(args) -> str:
     return _written(report.to_csv)
 
 
-def _cmd_sandwich(args) -> str:
-    cover = _cover(args)
-    alpha = args.alpha if args.alpha is not None else 2.0 * cover.cover_radius + 1.0
-    result = sandwich_check(cover.rows.between_sources, cover.rows.dists.T, alpha,
-                            cover.cover_radius, args.max_dim)
-    return ("not-applicable" if result is None else ("true" if result else "false")) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -323,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-landmarks", action="store_true",
                    help="reuse the clean graph's landmarks on perturbed graphs")
 
-    p = command("sandwich", _cmd_sandwich,
-                "check the witness complex sits between VR at alpha/3 and VR at 3*alpha",
-                "input", "fraction", "max_dim")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="scale to test (default: 2*cover_radius + 1)")
     return parser
 
 

@@ -52,6 +52,9 @@ class Graph:
                    node_features: np.ndarray | None = None) -> "Graph":
         """Build a validated Graph from (u, v) or (u, v, w) tuples."""
         edges = [(*e, 1.0) if len(e) == 2 else e for e in edges]
+        bad = next((e for e in edges if len(e) != 3), None)
+        if bad is not None:
+            raise ValidationError(f"edge {tuple(bad)} is not (u, v) or (u, v, w)")
         return cls._build(num_nodes, [(u, v) for u, v, _ in edges],
                           [w for _, _, w in edges], node_features)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import IO
 
@@ -36,6 +37,8 @@ class PIConfig:
     cap_value: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.grid_resolution, numbers.Integral):
+            raise ValueError(f"grid_resolution must be an integer, got {self.grid_resolution!r}")
         if self.grid_resolution < 1:
             raise ValueError("grid_resolution must be >= 1")
         if not all(map(math.isfinite, (*self.birth_range, *self.persistence_range))):

@@ -42,6 +42,15 @@ def test_vr_rejects_asymmetric():
         vr_filtration(d, 1, 1.0)
 
 
+@pytest.mark.parametrize("d, message", [
+    (np.zeros((2, 3)), "must be a square matrix"),
+    (np.array([[1.0, 1.0], [1.0, 0.0]]), "must have a zero diagonal"),
+])
+def test_vr_rejects_a_matrix_that_is_not_a_distance_matrix(d, message):
+    with pytest.raises(ValidationError, match=message):
+        vr_filtration(d, 1, 1.0)
+
+
 def test_vr_unreachable_pairs_never_connect():
     d = np.array([[0.0, np.inf], [np.inf, 0.0]])
     f = vr_filtration(d, 1, 100.0)

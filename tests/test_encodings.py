@@ -877,6 +877,7 @@ def test_grad_closed_form_examples():
     assert np.allclose(g1, [[-4.0, 4.0]], atol=1e-12)
     g2 = topo_loss_grad(diagram_of([[1, 3]]), TopoLossConfig(1, 1))
     assert np.allclose(g2, [[-1.0, 3.0]], atol=1e-12)
+    assert topo_loss_grad(diagram_of([]), TopoLossConfig(2, 0)).shape == (0, 2)
 
 
 def test_grad_matches_central_differences():

@@ -33,7 +33,6 @@ COMMANDS = {
                         "--max-dim", "2"],
     "diagram-vr": ["diagram", "--complex", "vr", "--fraction", "0.15",
                    "--max-dim", "2"],
-    "sandwich": ["sandwich", "--fraction", "0.15"],
     "local-csv": ["local-features", "--fraction", "0.15", "--grid", "4"],
     "local-bin": ["local-features", "--fraction", "0.15", "--grid", "4",
                   "--format", "bin"],
@@ -47,7 +46,6 @@ GOLDEN = {
     ("unit", "cover"): "259f87bb0f36563ed9c2e7835bde1caadad06f30a057f90df88a5c62b02eb100",
     ("unit", "diagram-witness"): "d273665d5d48682ca6dc7dcf2718f49745e57f855c26189976f6547809320a64",
     ("unit", "diagram-vr"): "8e6558dd3be06eaa15e917435606ded2dc7d7e2404327265015f7e572e2f388e",
-    ("unit", "sandwich"): "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
     ("unit", "local-csv"): "8ae15783f9ec8fc1b3ab2730e5cd92e647bd18ea41ea705915194be8a68faaac",
     ("unit", "local-bin"): "ffa7c5c4ef0f73ea3a3b3ba2d6426dd32a42ac63166ce8ab7a1c7025be0c2a48",
     ("unit", "global"): "82c9054387f59e6597b20c4b5ecdf1ad7d2975464c82084751f9bb2d17c81195",
@@ -56,7 +54,6 @@ GOLDEN = {
     ("weighted", "cover"): "23d746936efb185f5f3a78f12cab8f5261b37c8acb0496f3d35dbb400f9cddfe",
     ("weighted", "diagram-witness"): "3af08dcc56535eb83ca954c3a633d8dd143c858d4c06beeb006da8bf794b2eab",
     ("weighted", "diagram-vr"): "3021f0bb3007a470f92ad72134c70dfe11e2660e34c0ca4da006ca2c6b69161e",
-    ("weighted", "sandwich"): "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
     ("weighted", "local-csv"): "ecc8c4294629603e21d2e677c747c119e971da45080e6557c502212c3733d4da",
     ("weighted", "local-bin"): "cc42afd6bb20069682643eb65500107be02441a5282f107e5e5fd377b5688050",
     ("weighted", "global"): "db59911331d794a03356c5a874c895fd2129bb302f1511e9ab8e3d4632aa02d2",
@@ -65,7 +62,6 @@ GOLDEN = {
     ("disconnected", "cover"): "109b8f183e4e5757a2ef47a0c62a405c630e692c8ba936e73cf319cad45bfb82",
     ("disconnected", "diagram-witness"): "15c46100b913de6df24129c32ce90d2d394d357c6a61369396e2c7c2b23ca542",
     ("disconnected", "diagram-vr"): "4f1e693e50214f76e17b05138714acd861ac2f2489ec5c16759f2dce96db03ba",
-    ("disconnected", "sandwich"): "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
     ("disconnected", "local-csv"): "329a9287167257c2875f873fd6c30f84bfcdffe22da7c9b260b408fbee52576b",
     ("disconnected", "local-bin"): "ed6270fbb88c7da18f8faf5f007a147ab4e3073087fc2497c06a91bb5bb5334d",
     ("disconnected", "global"): "5fc1a09f9b94c69aa572e44d3c94d14825cf710ee08e872533bead5cf37c1b8b",

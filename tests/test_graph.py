@@ -56,8 +56,9 @@ def test_load_edge_list_rejects_duplicates_and_bad_weights():
     ("0 1 -1\n1 x\n", GraphParseError, "line 2: node ids must be integers"),
     ("0 1 -1\n0 9223372036854775808\n", GraphParseError,
      "line 2: node ids must fit in 64 bits"),
+    ("0 1 x\n", GraphParseError, "line 1: weight must be a real number"),
 ], ids=["duplicate-after-comments", "all-negative", "nan-weight", "token-after-value",
-        "id-beyond-int64"])
+        "id-beyond-int64", "weight-not-a-number"])
 def test_every_edge_list_error_names_its_line(text, error, message):
     with pytest.raises(ValueError) as info:
         load_edge_list(io.StringIO(text))
@@ -94,6 +95,8 @@ def test_geodesics_empty_sources_rejected():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
         geodesics(g, [])
+    with pytest.raises(ValueError, match=r"source ids outside \[0, N\)"):
+        geodesics(g, [g.num_nodes])
 
 
 def test_geodesics_triangle_inequality_random():
@@ -276,6 +279,8 @@ def test_knn_rejects_zero_row_and_bad_k():
         build_knn_graph(np.array([[0.0, 0.0], [1.0, 0.0]]), k=1)
     with pytest.raises(ValueError):
         build_knn_graph(np.eye(3), k=3)
+    with pytest.raises(ValidationError, match="features must be an N x F matrix"):
+        build_knn_graph(np.ones(3), k=1)
 
 
 def test_graph_invariants_enforced():
@@ -287,6 +292,11 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 1, float("inf"))])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 5)])
+    # a tuple of any other length is named, not unpacked
+    for edges, bad in (([(0, 1), (0, 1, 1.0, 5)], "(0, 1, 1.0, 5)"), ([(0,)], "(0,)")):
+        with pytest.raises(ValidationError) as info:
+            Graph.from_edges(3, edges)
+        assert str(info.value) == f"edge {bad} is not (u, v) or (u, v, w)"
 
 
 def test_knn_rejects_non_finite_features():

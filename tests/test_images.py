@@ -183,10 +183,15 @@ def test_pi_stability_bound():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid_resolution must be >= 1$"):
         PIConfig(0, (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="^grid_resolution must be an integer, got 2.5$"):
+        PIConfig(2.5, (0, 1), (0, 1))
+    assert PIConfig(np.int64(3), (0, 1), (0, 1)).grid_resolution == 3
     with pytest.raises(ValueError):
         PIConfig(4, (1, 1), (0, 1))
+    with pytest.raises(ValueError, match="persistence_range must be non-degenerate"):
+        PIConfig(4, (0, 1), (1, 0))
     with pytest.raises(ValueError):
         PIConfig(4, (0, 1), (0, 1), sigma=0.0)
     with pytest.raises(ValueError):

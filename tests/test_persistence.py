@@ -119,6 +119,13 @@ def test_reduction_betti_oracle_random():
             assert betti_from_diagram(d, 1, alpha) == b1
 
 
+def test_diagrams_with_different_dimensions_differ():
+    d = diagram_of([[0, 1]])
+    assert d == diagram_of([[0, 1]])
+    # equal in every dimension of d, but not in the dimensions themselves
+    assert d != PersistenceDiagram._build({0: [[0, 1]], 1: [[0, 2]]}, {})
+
+
 def test_diagram_json_roundtrip():
     d = diagram_of([[0.0, 2.0], [1.0, 3.0]], essential=[0.0])
     d2 = PersistenceDiagram.from_json_obj(d.to_json_obj())
@@ -207,6 +214,8 @@ def test_arguments_checked_before_essential_count_mismatch():
     d2 = diagram_of([[0, 1]], essential=[0.0, 0.0])
     with pytest.raises(ValueError, match="unknown mode"):
         diagram_distance(d1, d2, mode="nonsense")
+    with pytest.raises(ValueError, match="essential must be 'match' or 'drop'"):
+        diagram_distance(d1, d2, essential="x")
     with pytest.raises(ValueError, match="p >= 1"):
         diagram_distance(d1, d2, mode="wasserstein", p=0.5)
 
