@@ -1,20 +1,19 @@
 """wtopo command-line front end.
 
-Exit codes: 0 success, 1 runtime/validation error, 2 usage error. Structured
-objects are written as JSON, matrices and reports as CSV. Each subcommand
-returns its output, text or bytes, and ``main`` alone writes it: to stdout,
-or with -o atomically (temp file + rename); bytes need -o. Randomized
-subcommands print the effective seed.
+Exit codes: 0 success, 1 runtime/validation error, 2 usage error. A subcommand
+does all that can fail, then returns the writer of its output (JSON, CSV, or
+binary with -o only); ``main`` alone calls it, on stdout or on a temp file that
+it renames to -o's path. Randomized subcommands print the effective seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 import tempfile
+from typing import IO, Callable
 
 from . import __version__
 from .complexes import _check_parameters, vr_filtration
@@ -28,8 +27,10 @@ from .persistence import (REDUCTION, UNION_FIND, PersistenceDiagram,
 from .robustness import (LANDMARK_TARGETED, RANDOM, PerturbSpec, perturb,
                          stability_sweep)
 
+_Writer = Callable[[IO], object]     # writes one output to an open file
 
-def _atomic_write(path: str, data: str | bytes) -> None:
+
+def _atomic_write(path: str, write: _Writer, mode: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".wtopo-", suffix=".tmp")
     try:
@@ -37,8 +38,8 @@ def _atomic_write(path: str, data: str | bytes) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fp:
-            fp.write(data)
+        with os.fdopen(fd, mode) as fp:
+            write(fp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,31 +93,28 @@ def _encoding_kw(args) -> dict:
                 max_scale=args.max_scale)
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+def _text(s: str) -> _Writer:
+    return lambda fp: fp.write(s)
 
 
-def _written(write, buffer=io.StringIO) -> str | bytes:
-    # what a writer such as ``to_csv`` puts into a file object
-    buf = buffer()
-    write(buf)
-    return buf.getvalue()
+def _json(obj) -> _Writer:
+    return _text(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns its output, which only ``main`` writes
+# subcommand handlers: each does all that can fail, then returns its writer
 # ---------------------------------------------------------------------------
 
-def _cmd_landmarks(args) -> str:
+def _cmd_landmarks(args) -> _Writer:
     ls = select_landmarks(_load_graph(args.input), args.fraction)
     return _json({"landmarks": list(ls.landmarks), "fraction": ls.fraction})
 
 
-def _cmd_cover(args) -> str:
-    return _cover(args).to_json() + "\n"
+def _cmd_cover(args) -> _Writer:
+    return _text(_cover(args).to_json() + "\n")
 
 
-def _cmd_diagram(args) -> str:
+def _cmd_diagram(args) -> _Writer:
     # union-find is the reduction stopped after dimension 0
     dimension = 0 if args.algorithm == UNION_FIND else args.max_dim
     top = _check_parameters(args.max_dim, args.max_scale, dimension=dimension)
@@ -130,39 +128,35 @@ def _cmd_diagram(args) -> str:
     return _json(diagram.to_json_obj())
 
 
-def _cmd_image(args) -> str:
-    img = persistence_image(_load_diagram(args.input), _image_config(args, None),
-                            args.dimension)
-    return _written(img.to_csv)
+def _cmd_image(args) -> _Writer:
+    return persistence_image(_load_diagram(args.input), _image_config(args, None),
+                             args.dimension).to_csv
 
 
-def _cmd_local_features(args) -> str | bytes:
+def _cmd_local_features(args) -> _Writer:
     g = _load_graph(args.input)
     feats = local_encoding(g, args.fraction, _image_config(args, g), **_encoding_kw(args))
-    if args.format == "bin":
-        return _written(feats.to_binary, io.BytesIO)
-    return _written(feats.to_csv)
+    return feats.to_binary if args.format == "bin" else feats.to_csv
 
 
-def _cmd_global_features(args) -> str:
+def _cmd_global_features(args) -> _Writer:
     g = _load_graph(args.input)
     img = global_encoding(g, args.fraction, _image_config(args, g), **_encoding_kw(args))
-    return _written(img.to_csv)
+    return img.to_csv
 
 
-def _cmd_loss(args) -> str:
+def _cmd_loss(args) -> _Writer:
     d = _load_diagram(args.input)
-    return repr(topo_loss(d, TopoLossConfig(args.p, args.q), args.dimension)) + "\n"
+    return _text(repr(topo_loss(d, TopoLossConfig(args.p, args.q), args.dimension)) + "\n")
 
 
-def _cmd_distance(args) -> str:
-    d1, d2 = (_load_diagram(path) for path in args.inputs)
-    value = diagram_distance(d1, d2, mode=args.mode, p=args.p,
+def _cmd_distance(args) -> _Writer:
+    value = diagram_distance(*map(_load_diagram, args.inputs), mode=args.mode, p=args.p,
                              dimension=args.dimension, essential=args.essential)
-    return repr(value) + "\n"
+    return _text(repr(value) + "\n")
 
 
-def _cmd_perturb(args) -> str:
+def _cmd_perturb(args) -> _Writer:
     g = _load_graph(args.input)
     budget = args.budget
     if budget is None:
@@ -176,10 +170,10 @@ def _cmd_perturb(args) -> str:
         landmarks = select_landmarks(g, args.fraction).landmarks
     g2 = perturb(g, PerturbSpec(budget=budget, mode=args.mode, seed=args.seed),
                  landmarks=landmarks)
-    return _written(g2.to_edge_list)
+    return g2.to_edge_list
 
 
-def _cmd_sweep(args) -> str:
+def _cmd_sweep(args) -> _Writer:
     g = _load_graph(args.input)
     try:
         budgets = [int(b) for b in args.budgets.split(",")]
@@ -190,7 +184,7 @@ def _cmd_sweep(args) -> str:
         g, budgets, args.trials, args.fraction, _image_config(args, g),
         TopoLossConfig(args.p, args.q), mode=args.mode, base_seed=args.seed,
         freeze_landmarks=args.freeze_landmarks, **_encoding_kw(args))
-    return _written(report.to_csv)
+    return report.to_csv
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    binary = getattr(args, "format", None) == "bin"
     try:
-        out = args.func(args)
-        if args.output is not None:
-            _atomic_write(args.output, out)
-        elif isinstance(out, bytes):
+        if binary and args.output is None:
             raise ValueError("binary output needs -o/--output")
-        else:
-            sys.stdout.write(out)
+        write = args.func(args)
+        if args.output is not None:
+            _atomic_write(args.output, write, "wb" if binary else "w")
+            return 0
+        try:    # flushed here, so that no part of the output meets a closed pipe at exit
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:     # a reader closed stdout early: the rest goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError, MemoryError) as exc:
         print(f"wtopo: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -42,7 +42,7 @@ class NodeFeatureMatrix:
         """Little-endian block: int64 N, int64 cols, then row-major float64."""
         n, cols = self.values.shape
         fp.write(struct.pack("<qq", n, cols))
-        fp.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+        fp.write(np.ascontiguousarray(self.values, dtype="<f8").data)
 
     @classmethod
     def from_binary(cls, fp: IO[bytes]) -> "NodeFeatureMatrix":

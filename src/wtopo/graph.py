@@ -9,6 +9,7 @@ downstream filtrations never create simplices across components.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable, Sequence
@@ -32,6 +33,21 @@ class ValidationError(ValueError):
     """Data violates a structural invariant (self-loop, bad weight, ...)."""
 
 
+def _edge_tuple(e) -> tuple:
+    # (u, v, w) from a ``from_edges`` item, worded as ``load_edge_list`` words a line
+    t = tuple(e) if isinstance(e, Iterable) else None
+    if t is None or len(t) not in (2, 3):
+        raise ValidationError(f"edge {e if t is None else t} is not (u, v) or (u, v, w)")
+    u, v, w = t if len(t) == 3 else (*t, 1.0)
+    if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
+        raise ValidationError(f"edge {t}: node ids must be integers")
+    if not (-_ID_BOUND <= u < _ID_BOUND and -_ID_BOUND <= v < _ID_BOUND):
+        raise ValidationError(f"edge {t}: node ids must fit in 64 bits")
+    if not isinstance(w, numbers.Real) or isinstance(w, bool):
+        raise ValidationError(f"edge {t}: weight must be a real number")
+    return u, v, w
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph with optional positive edge weights and node features.
@@ -50,11 +66,9 @@ class Graph:
     def from_edges(cls, num_nodes: int,
                    edges: Iterable[tuple] = (),
                    node_features: np.ndarray | None = None) -> "Graph":
-        """Build a validated Graph from (u, v) or (u, v, w) tuples."""
-        edges = [(*e, 1.0) if len(e) == 2 else e for e in edges]
-        bad = next((e for e in edges if len(e) != 3), None)
-        if bad is not None:
-            raise ValidationError(f"edge {tuple(bad)} is not (u, v) or (u, v, w)")
+        """Build a validated Graph from (u, v) or (u, v, w) tuples. Each tuple's
+        shape and types are checked in input order before any edge rule."""
+        edges = [_edge_tuple(e) for e in edges]
         return cls._build(num_nodes, [(u, v) for u, v, _ in edges],
                           [w for _, _, w in edges], node_features)
 

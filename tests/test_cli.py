@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import select
 import stat
 import subprocess
 import sys
@@ -116,6 +117,31 @@ def test_union_find_diagram_builds_no_triangles(tmp_path, capsys, monkeypatch, c
         assert capsys.readouterr().out == json.dumps(want, separators=(",", ":")) + "\n"
 
 
+def _env():
+    # a child's stdout is buffered, as it is by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(wtopo.__file__)), os.environ.get("PYTHONPATH", "")])}
+
+
+# VmHWM is the child's own peak, read from Linux's /proc; Linux carries a
+# process's peak across exec into its ru_maxrss, which would then count the
+# pages of this test process
+_PEAK_SCRIPT = ("import sys; from wtopo.cli import main; code = main(sys.argv[1:]); "
+                "print(next(s.split()[1] for s in open('/proc/self/status') "
+                "if s.startswith('VmHWM'))); sys.exit(code)")
+
+
+def _peak_mb(argv):
+    """Peak RSS in MB of ``wtopo argv`` run in a fresh interpreter."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("VmHWM is read from /proc/self/status")
+    done = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *map(str, argv)],
+                          capture_output=True, text=True, env=_env(), timeout=300)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout) // 1024
+
+
 def test_union_find_diagram_peak_memory(tmp_path):
     # 5k nodes, 250 landmarks: the max_dim 2 complex holds about a million
     # triangles (about 290 MB peak in total), the complex up to edges about
@@ -123,18 +149,95 @@ def test_union_find_diagram_peak_memory(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(94), 5000,
                                                        extra=5000)))
-    script = ("import resource, sys; from wtopo.cli import main; "
-              "code = main(sys.argv[1:]); "
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024); "
-              "sys.exit(code)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(wtopo.__file__)), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script, "diagram", "-i", str(path),
-                           "--max-dim", "2", "--algorithm", "union-find",
-                           "-o", str(tmp_path / "d.json")],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 200
+    assert _peak_mb(["diagram", "-i", path, "--max-dim", "2", "--algorithm", "union-find",
+                     "-o", tmp_path / "d.json"]) < 200
+
+
+FIXED_IMAGE = ["--birth-range", "0,7", "--pers-range", "0,7", "--cap-value", "8"]
+
+
+def test_local_features_binary_peak_memory(tmp_path):
+    # 20k nodes at --grid 40: the (N, 1600) matrix is 256 MB. Written from
+    # the matrix's own buffer, the run peaked at 330 MB; holding the bytes
+    # whole (a copy of the matrix, then a BytesIO of it) peaked at 819 MB.
+    # The ceiling sits between them
+    path = tmp_path / "g.edges"
+    path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(95), 20000,
+                                                       extra=20000)))
+    assert _peak_mb(["local-features", "-i", path, "--grid", "40", *FIXED_IMAGE,
+                     "--format", "bin", "-o", tmp_path / "f.bin"]) < 550
+
+
+def test_local_features_csv_peak_memory(tmp_path):
+    # 2k nodes at --grid 30: the CSV is about 34 MB of text. Written a row at
+    # a time, the run peaked at 95 MB, little above the interpreter with numpy
+    # and scipy; holding the text whole in a StringIO, then its value, peaked
+    # at 171-182 MB. The ceiling sits between them
+    path = tmp_path / "g.edges"
+    path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(95), 2000,
+                                                       extra=2000)))
+    assert _peak_mb(["local-features", "-i", path, "--grid", "30", *FIXED_IMAGE,
+                     "-o", tmp_path / "f.csv"]) < 135
+
+
+def test_early_closed_stdout_exits_0_quietly(tmp_path):
+    # the CSV (about 180 KB) outgrows the pipe's buffer, so the reader's close
+    # meets a write still under way
+    path = tmp_path / "g.edges"
+    path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(96), 600,
+                                                       extra=600)))
+    proc = subprocess.Popen([sys.executable, "-m", "wtopo.cli", "local-features", "-i",
+                             str(path), "--grid", "4", *FIXED_IMAGE],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+
+
+def test_stdout_closed_after_the_last_write_exits_0_quietly(tmp_path):
+    # the CSV (about 20 KB) outgrows stdout's 8 KB buffer but fits in the
+    # pipe. The child says when main has returned, then waits, as a slow exit
+    # would, until the reader has closed: anything main left in the buffer
+    # meets the closed pipe at shutdown, outside main's reach
+    path = tmp_path / "g.edges"
+    path.write_text(_edge_lines(random_connected_graph(np.random.default_rng(96), 60,
+                                                       extra=60)))
+    script = ("import os, select, sys; from wtopo.cli import main; code = main(sys.argv[2:]); "
+              "os.write(int(sys.argv[1]), b'.'); poll = select.poll(); poll.register(1, 0); "
+              "poll.poll(60000); sys.exit(code)")
+    returned, signal = os.pipe()
+    proc = subprocess.Popen([sys.executable, "-c", script, str(signal), "local-features",
+                             "-i", str(path), "--grid", "4", *FIXED_IMAGE],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+                            pass_fds=[signal])
+    os.close(signal)
+    try:
+        assert select.select([returned], [], [], 300)[0] and os.read(returned, 1) == b"."
+    finally:
+        os.close(returned)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 0
+    assert err == b""
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stderr_is_no_closed_stdout(cycle_path, tmp_path, monkeypatch):
+    # only a closed stdout ends the command quietly; a seed line that meets a
+    # closed stderr fails the run, and -o's file is not written
+    monkeypatch.setattr(sys, "stderr", _ClosedPipe())
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    out = tmp_path / "g2.edges"
+    with pytest.raises(BrokenPipeError):
+        run(["perturb", "-i", cycle_path, "--budget", "2", "-o", str(out)])
+    assert [p.name for p in tmp_path.iterdir()] == ["g.edges"]
 
 
 def test_diagram_then_loss(cycle_path, tmp_path, capsys):
@@ -493,10 +596,17 @@ def test_sweep_byte_identical_reruns(cycle_path, tmp_path):
 def test_invalid_parameters_exit_1(cycle_path, tmp_path, capsys, argv, message):
     djson = tmp_path / "d.json"
     djson.write_text(json.dumps([{"dim": 0, "points": [[0.0, 2.0]], "essential": []}]))
-    assert run([a.format(g=cycle_path, d=djson) for a in argv]) == 1
+    argv = [a.format(g=cycle_path, d=djson) for a in argv]
+    assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"wtopo: error: {message}\n"
+    # every check runs before the writer opens the temp file
+    out = tmp_path / "out" / "result"
+    out.parent.mkdir()
+    assert run(argv + ["-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"wtopo: error: {message}\n"
+    assert list(out.parent.iterdir()) == []
 
 
 def test_sweep_dimension_above_max_dim_exit_1(cycle_path, capsys):
@@ -508,12 +618,16 @@ def test_sweep_dimension_above_max_dim_exit_1(cycle_path, capsys):
                             "got dimension 3 and max_dim 1\n")
 
 
-def test_binary_output_needs_an_output_path(cycle_path, capsys):
+def test_binary_output_needs_an_output_path(cycle_path, tmp_path, capsys):
     assert run(["local-features", "-i", cycle_path, "--fraction", "0.34",
                 "--format", "bin"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "wtopo: error: binary output needs -o/--output\n"
+    # the check reads only the arguments, so it comes before the input is read
+    assert run(["local-features", "-i", str(tmp_path / "missing.edges"),
+                "--format", "bin"]) == 1
+    assert capsys.readouterr().err == "wtopo: error: binary output needs -o/--output\n"
 
 
 def test_usage_error_exit_code_2(cycle_path, capsys):

@@ -1,9 +1,10 @@
 """Golden SHA-256 digests of CLI outputs on seeded graphs.
 
 Each case runs one subcommand on a seeded unit, weighted or disconnected
-graph from the conftest generators and compares the output file's digest
-with the value pinned below. Refactors must keep every output byte-identical;
-a digest changes only with a deliberate change of behaviour.
+graph from the conftest generators and compares the digest of its output,
+written to a file with -o and (text outputs) to stdout, with the value
+pinned below. Refactors must keep every output byte-identical; a digest
+changes only with a deliberate change of behaviour.
 """
 
 import hashlib
@@ -70,17 +71,26 @@ GOLDEN = {
 }
 
 
-def _digest(tmp_path, kind, command):
+def _run(tmp_path, kind, command, *output):
     edges = tmp_path / "g.edges"
     with open(edges, "w") as fp:
         _graph(kind).to_edge_list(fp)
-    out = tmp_path / "out"
     argv = COMMANDS[command]
-    assert main(argv[:1] + ["-i", str(edges)] + argv[1:] + ["-o", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    assert main(argv[:1] + ["-i", str(edges)] + argv[1:] + list(output)) == 0
 
 
 @pytest.mark.parametrize("kind", ["unit", "weighted", "disconnected"])
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_cli_output_digest(tmp_path, kind, command):
-    assert _digest(tmp_path, kind, command) == GOLDEN[kind, command]
+    out = tmp_path / "out"
+    _run(tmp_path, kind, command, "-o", str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[kind, command]
+
+
+# stdout gets its own call of the writer; binary output needs -o
+@pytest.mark.parametrize("kind", ["unit", "weighted", "disconnected"])
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "local-bin"])
+def test_cli_stdout_digest(tmp_path, capsys, kind, command):
+    _run(tmp_path, kind, command)
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[kind, command]

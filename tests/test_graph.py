@@ -292,11 +292,26 @@ def test_graph_invariants_enforced():
         Graph.from_edges(2, [(0, 1, float("inf"))])
     with pytest.raises(ValidationError):
         Graph.from_edges(2, [(0, 5)])
-    # a tuple of any other length is named, not unpacked
-    for edges, bad in (([(0, 1), (0, 1, 1.0, 5)], "(0, 1, 1.0, 5)"), ([(0,)], "(0,)")):
+    # a tuple of any other length is named, not unpacked, and so is an id or
+    # weight of the wrong type, in load_edge_list's words, before any edge rule
+    for edges, message in (
+            ([(0, 1), (0, 1, 1.0, 5)], "edge (0, 1, 1.0, 5) is not (u, v) or (u, v, w)"),
+            ([(0,)], "edge (0,) is not (u, v) or (u, v, w)"),
+            ([5], "edge 5 is not (u, v) or (u, v, w)"),
+            ([(0, 1.5)], "edge (0, 1.5): node ids must be integers"),
+            ([(0, True)], "edge (0, True): node ids must be integers"),
+            ([(0, "a")], "edge (0, 'a'): node ids must be integers"),
+            ([(0, 2 ** 70)], f"edge (0, {2 ** 70}): node ids must fit in 64 bits"),
+            ([(0, 1, "2")], "edge (0, 1, '2'): weight must be a real number"),
+            ([(0, 1, False)], "edge (0, 1, False): weight must be a real number"),
+            ([(0, 0), (0, 1.5)], "edge (0, 1.5): node ids must be integers"),
+            ([(0, 1.5), (0, 1, 1.0, 5)], "edge (0, 1.5): node ids must be integers")):
         with pytest.raises(ValidationError) as info:
             Graph.from_edges(3, edges)
-        assert str(info.value) == f"edge {bad} is not (u, v) or (u, v, w)"
+        assert str(info.value) == message
+    # numpy integers and floats are integers and real numbers
+    g = Graph.from_edges(3, [(np.int32(0), np.int64(2), np.float32(0.5))])
+    assert g.edge_array.tolist() == [[0, 2]] and g.weights.tolist() == [0.5]
 
 
 def test_knn_rejects_non_finite_features():
